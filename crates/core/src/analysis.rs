@@ -3,7 +3,6 @@
 //! CDFs of rejected samples against all samples.
 
 use rlcore::REJECT;
-use serde::{Deserialize, Serialize};
 use simhpc::{InspectorHook, Observation, Simulator};
 use workload::Job;
 
@@ -11,7 +10,7 @@ use crate::agent::SchedInspector;
 use crate::env::PolicyFactory;
 
 /// One recorded inspection.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct DecisionSample {
     /// Normalized feature vector observed.
     pub features: Vec<f32>,

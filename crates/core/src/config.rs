@@ -1,6 +1,5 @@
 //! Top-level SchedInspector configuration.
 
-use serde::{Deserialize, Serialize};
 use simhpc::{Metric, SimConfig};
 
 use crate::features::FeatureMode;
@@ -11,7 +10,7 @@ use crate::reward::RewardKind;
 /// Defaults are the paper's (§4.1): percentage reward, manually built
 /// features, batches of 100 trajectories of 128 sequential jobs, PPO at
 /// lr 1e-3, `MAX_INTERVAL` 600 s, `MAX_REJECTION_TIMES` 72.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct InspectorConfig {
     /// The job-execution metric being optimized.
     pub metric: Metric,

@@ -3,7 +3,6 @@
 //! inspector-enabled counterpart).
 
 use rlcore::parallel_map;
-use serde::{Deserialize, Serialize};
 use simhpc::{Metric, SimConfig, SimResult, Simulator};
 use workload::{JobTrace, SequenceSampler};
 
@@ -12,7 +11,7 @@ use crate::baseline::BaselineCache;
 use crate::env::PolicyFactory;
 
 /// One evaluated sequence: base vs. inspected.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct EvalCase {
     /// Start index of the sequence in the test trace.
     pub start: usize,
@@ -23,7 +22,7 @@ pub struct EvalCase {
 }
 
 /// Results over all evaluated sequences.
-#[derive(Debug, Clone, PartialEq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Default)]
 pub struct EvalReport {
     /// Per-sequence outcomes.
     pub cases: Vec<EvalCase>,

@@ -15,14 +15,13 @@
 //!   strategy "expect the network to figure features out itself" used by
 //!   RLScheduler-style work.
 
-use serde::{Deserialize, Serialize};
 use simhpc::{Metric, Observation, BSLD_THRESHOLD};
 
 /// Queue slots included in the native (raw-state) representation.
 pub const NATIVE_QUEUE_SLOTS: usize = 16;
 
 /// Feature-building mechanism.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum FeatureMode {
     /// The paper's manually built, metric-aware features.
     Manual,
@@ -33,7 +32,7 @@ pub enum FeatureMode {
 }
 
 /// Normalization constants, derived from the trace being scheduled.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Normalizer {
     /// Cap/normalizer for job estimates (the trace's max estimate).
     pub max_estimate: f64,
@@ -61,7 +60,7 @@ impl Normalizer {
 }
 
 /// Builds normalized feature vectors from simulator observations.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct FeatureBuilder {
     /// Which mechanism to use.
     pub mode: FeatureMode,

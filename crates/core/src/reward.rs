@@ -6,10 +6,8 @@
 //! policy alone; all schedulers minimize their metric, so positive reward =
 //! the inspector helped.
 
-use serde::{Deserialize, Serialize};
-
 /// Which reward function to train with.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum RewardKind {
     /// `m_orig − m_inspect` — direct difference ("Native reward"). Suffers
     /// from the huge variance of metrics like bsld across sequences.

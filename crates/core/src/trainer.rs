@@ -12,7 +12,6 @@ use rlcore::{
     default_workers, parallel_map, Batch, BinaryPolicy, PpoConfig, PpoTrainer, Trajectory,
     UpdateStats,
 };
-use serde::{Deserialize, Serialize};
 use simhpc::Simulator;
 use workload::JobTrace;
 
@@ -78,7 +77,7 @@ pub struct RolloutReport {
 /// Wall-time breakdown of one epoch. Carried by [`EpochRecord`] for
 /// diagnostics but excluded from its `PartialEq`: two runs with identical
 /// training results compare equal regardless of how fast they ran.
-#[derive(Debug, Clone, Copy, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default)]
 pub struct EpochTiming {
     /// Seconds spent rolling out the batch (includes baseline runs).
     pub rollout_secs: f64,
@@ -91,7 +90,7 @@ pub struct EpochTiming {
 
 /// Per-epoch training diagnostics — the data behind every training-curve
 /// figure in the paper (Figs. 4–7, 9, 11, 12).
-#[derive(Debug, Clone, Copy, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy)]
 pub struct EpochRecord {
     /// Epoch index (one model update each).
     pub epoch: usize,
@@ -138,7 +137,7 @@ impl PartialEq for EpochRecord {
 }
 
 /// The full training curve.
-#[derive(Debug, Clone, PartialEq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Default)]
 pub struct TrainingHistory {
     /// One record per epoch.
     pub records: Vec<EpochRecord>,
@@ -330,24 +329,6 @@ impl Trainer {
             message: e.to_string(),
         })?;
         Ok(Trainer::builder(trace))
-    }
-
-    /// Create a trainer over `trace` improving the base policy produced by
-    /// `factory`.
-    ///
-    /// # Panics
-    /// Panics on an invalid configuration or empty trace. Use
-    /// [`Trainer::builder`] for the fallible path.
-    #[deprecated(since = "0.2.0", note = "use Trainer::builder(trace)…build()")]
-    pub fn new(trace: JobTrace, factory: PolicyFactory, config: InspectorConfig) -> Self {
-        match Trainer::builder(trace)
-            .factory(factory)
-            .config(config)
-            .build()
-        {
-            Ok(t) => t,
-            Err(e) => panic!("Trainer::new: {e}"),
-        }
     }
 
     fn assemble(
@@ -759,7 +740,6 @@ impl Trainer {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::env::factory_for;
     use policies::PolicyKind;
     use workload::Job;
 
@@ -1018,26 +998,6 @@ mod tests {
             .unwrap();
         assert!(matches!(err, TrainError::EmptyTrace { .. }));
         assert!(err.to_string().contains("empty"));
-    }
-
-    #[test]
-    #[allow(deprecated)]
-    fn deprecated_constructor_matches_builder() {
-        let config = InspectorConfig {
-            batch_size: 4,
-            seq_len: 16,
-            epochs: 1,
-            seed: 7,
-            workers: 1,
-            ..Default::default()
-        };
-        let mut old = Trainer::new(tiny_trace(), factory_for(PolicyKind::Sjf), config);
-        let mut new = Trainer::builder(tiny_trace())
-            .policy(PolicyKind::Sjf)
-            .config(config)
-            .build()
-            .unwrap();
-        assert_eq!(old.train_epoch(0), new.train_epoch(0));
     }
 
     /// One training epoch must emit the documented event set, with spans

@@ -1,6 +1,6 @@
 //! A minimal JSON parser, used to *validate* telemetry JSONL output in
 //! tests and CI without pulling a serialization dependency into the
-//! workspace (the workspace's `serde` is an offline no-op stub).
+//! workspace.
 //!
 //! Supports the full JSON grammar except `\u` surrogate pairs (lone
 //! escapes decode to the replacement character). Not built for speed —

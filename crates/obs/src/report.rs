@@ -2,18 +2,17 @@
 //! `schedinspector report`.
 //!
 //! A multi-hour training run leaves a 100k-line sidecar; this module turns
-//! it into the three things the paper's §4 evaluation reasons about:
+//! it into the two things the paper's §4 evaluation reasons about:
 //!
 //! 1. **per-epoch summaries** — episodes, throughput, mean reward,
 //!    improvement, KL, rejection ratio, one row per `epoch` span;
 //! 2. **span wall-time aggregation** — a flamegraph-style tree of
 //!    total/self time per span path, tolerant of unpaired opens/closes
-//!    (truncated runs, crashed workers);
-//! 3. **throughput regression checks** — measured rollout/serve
-//!    throughput compared against the committed `BENCH_rollout.json` /
-//!    `BENCH_serve.json` baselines with a configurable tolerance.
+//!    (truncated runs, crashed workers).
 //!
-//! Parse errors name the offending file and line number.
+//! Parse errors name the offending file and line number. This is a
+//! renderer, not a regression gate: performance is compared by
+//! `spine compare` (see `crates/spine/README.md`).
 
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
@@ -361,9 +360,6 @@ pub struct SidecarReport {
     pub counter_totals: BTreeMap<String, u64>,
     /// Heartbeat episodes-per-second samples, in order, per source.
     pub heartbeat_eps: BTreeMap<String, Vec<f64>>,
-    /// Finite histogram samples per distribution name, in order (e.g.
-    /// `serve.e2e_s` end-to-end decision latencies in seconds).
-    pub histogram_samples: BTreeMap<String, Vec<f64>>,
     /// Promoted traces seen in the sidecar, as `(trace_id, reason)` in
     /// order of promotion.
     pub promoted_traces: Vec<(u64, String)>,
@@ -387,7 +383,6 @@ pub fn analyze(events: &[ReportEvent]) -> SidecarReport {
     let mut promoted_traces = Vec::new();
     let mut counter_totals: BTreeMap<String, u64> = BTreeMap::new();
     let mut heartbeat_eps: BTreeMap<String, Vec<f64>> = BTreeMap::new();
-    let mut histogram_samples: BTreeMap<String, Vec<f64>> = BTreeMap::new();
 
     // Accumulators for the epoch currently being filled: everything since
     // the last `epoch` span closed.
@@ -404,12 +399,6 @@ pub fn analyze(events: &[ReportEvent]) -> SidecarReport {
             }
             ReportEvent::Gauge { name, value, .. } => {
                 cur_gauges.insert(name.clone(), *value);
-            }
-            ReportEvent::Histogram { name, value, .. } if value.is_finite() => {
-                histogram_samples
-                    .entry(name.clone())
-                    .or_default()
-                    .push(*value);
             }
             ReportEvent::Heartbeat {
                 name, epoch, eps, ..
@@ -452,7 +441,6 @@ pub fn analyze(events: &[ReportEvent]) -> SidecarReport {
         spans,
         counter_totals,
         heartbeat_eps,
-        histogram_samples,
         promoted_traces,
         events: events.len(),
         wall: events.last().map_or(0.0, ReportEvent::t),
@@ -481,19 +469,6 @@ pub fn analyze_file_lenient(path: &Path) -> Result<SidecarReport, String> {
     Ok(report)
 }
 
-/// Empirical quantile of unsorted samples (None when empty). Uses the
-/// nearest-rank definition: the smallest sample with cumulative frequency
-/// >= q.
-fn quantile(samples: &[f64], q: f64) -> Option<f64> {
-    if samples.is_empty() {
-        return None;
-    }
-    let mut sorted: Vec<f64> = samples.to_vec();
-    sorted.sort_by(|a, b| a.partial_cmp(b).unwrap_or(std::cmp::Ordering::Equal));
-    let rank = ((sorted.len() as f64 * q).ceil() as usize).clamp(1, sorted.len()) - 1;
-    Some(sorted[rank])
-}
-
 fn fmt_opt(v: Option<f64>) -> String {
     match v {
         Some(v) if v.is_finite() => format!("{v:.3}"),
@@ -517,36 +492,6 @@ impl SidecarReport {
         } else {
             Some(all.iter().sum::<f64>() / all.len() as f64)
         }
-    }
-
-    /// Measured rollout throughput: heartbeat eps when available, else
-    /// total `train.episodes` over total `rollout` span time.
-    pub fn rollout_eps(&self) -> Option<f64> {
-        if let Some(eps) = self.mean_heartbeat_eps() {
-            return Some(eps);
-        }
-        let episodes = *self.counter_totals.get("train.episodes")? as f64;
-        let rollout = self
-            .spans
-            .children
-            .get("epoch")
-            .and_then(|e| e.children.get("rollout"))
-            .or_else(|| self.spans.children.get("rollout"))?;
-        (rollout.total > 0.0).then(|| episodes / rollout.total)
-    }
-
-    /// Measured serve throughput: `serve.requests` over run wall time.
-    pub fn serve_qps(&self) -> Option<f64> {
-        let requests = *self.counter_totals.get("serve.requests")? as f64;
-        (self.wall > 0.0).then(|| requests / self.wall)
-    }
-
-    /// Measured p99 end-to-end decision latency in microseconds, from the
-    /// per-request `serve.e2e_s` histogram samples the engine streams when
-    /// telemetry is enabled (None without samples).
-    pub fn serve_p99_us(&self) -> Option<f64> {
-        let samples = self.histogram_samples.get("serve.e2e_s")?;
-        quantile(samples, 0.99).map(|s| s * 1e6)
     }
 
     /// Render the human-readable report (summary, per-epoch table, span
@@ -671,183 +616,6 @@ impl SidecarReport {
     }
 }
 
-/// One throughput comparison against a committed benchmark baseline.
-#[derive(Debug, Clone)]
-pub struct ThroughputCheck {
-    /// What was compared (`rollout`, `serve`).
-    pub name: &'static str,
-    /// Throughput measured from the sidecar.
-    pub measured: f64,
-    /// Baseline throughput from the BENCH file.
-    pub baseline: f64,
-    /// Allowed fractional shortfall before failing (0.5 = may run at half
-    /// the baseline).
-    pub tolerance: f64,
-}
-
-impl ThroughputCheck {
-    /// Whether the measurement regressed beyond tolerance.
-    pub fn regressed(&self) -> bool {
-        self.measured < self.baseline * (1.0 - self.tolerance)
-    }
-
-    /// `measured / baseline` (0 when the baseline is 0).
-    pub fn ratio(&self) -> f64 {
-        if self.baseline > 0.0 {
-            self.measured / self.baseline
-        } else {
-            0.0
-        }
-    }
-}
-
-/// Load a BENCH_*.json file. Errors name the file.
-pub fn load_bench(path: &Path) -> Result<Json, String> {
-    let text = std::fs::read_to_string(path).map_err(|e| format!("{}: {e}", path.display()))?;
-    json::parse(text.trim()).map_err(|e| format!("{}: {e}", path.display()))
-}
-
-/// Best committed rollout throughput: max `optimized` episodes/s across
-/// worker configurations in `BENCH_rollout.json`.
-pub fn rollout_baseline(bench: &Json) -> Option<f64> {
-    bench
-        .get("episodes_per_sec")?
-        .as_array()?
-        .iter()
-        .filter_map(|row| row.get("optimized").and_then(Json::as_f64))
-        .fold(None, |best, v| Some(best.map_or(v, |b: f64| b.max(v))))
-}
-
-/// Committed serve throughput: `open_loop.achieved_qps` in
-/// `BENCH_serve.json`.
-pub fn serve_baseline(bench: &Json) -> Option<f64> {
-    bench.get("open_loop")?.get("achieved_qps")?.as_f64()
-}
-
-/// Best committed distributed-training throughput: max `eps` across the
-/// worker-count scaling rows in `BENCH_train.json`.
-pub fn train_baseline(bench: &Json) -> Option<f64> {
-    bench
-        .get("episodes_per_sec")?
-        .as_array()?
-        .iter()
-        .filter_map(|row| row.get("eps").and_then(Json::as_f64))
-        .fold(None, |best, v| Some(best.map_or(v, |b: f64| b.max(v))))
-}
-
-/// Committed serve tail latency under load: `open_loop.p99_us` in
-/// `BENCH_serve.json` (the open-loop run is the honest latency
-/// measurement; closed-loop capacity cases self-throttle).
-pub fn serve_p99_baseline(bench: &Json) -> Option<f64> {
-    let p99 = bench.get("open_loop")?.get("p99_us")?.as_f64()?;
-    (p99 > 0.0).then_some(p99)
-}
-
-/// One tail-latency comparison against a committed benchmark baseline.
-/// Unlike [`ThroughputCheck`], higher is *worse*: the check regresses when
-/// the measurement exceeds the baseline by more than the tolerance.
-#[derive(Debug, Clone)]
-pub struct LatencyCheck {
-    /// What was compared (`serve_p99`).
-    pub name: &'static str,
-    /// Latency measured from the sidecar, in microseconds.
-    pub measured: f64,
-    /// Baseline latency from the BENCH file, in microseconds.
-    pub baseline: f64,
-    /// Allowed fractional growth before failing (1.0 = may run at twice
-    /// the baseline).
-    pub tolerance: f64,
-}
-
-impl LatencyCheck {
-    /// Whether the measurement regressed beyond tolerance (got slower).
-    pub fn regressed(&self) -> bool {
-        self.measured > self.baseline * (1.0 + self.tolerance)
-    }
-
-    /// `measured / baseline` (0 when the baseline is 0).
-    pub fn ratio(&self) -> f64 {
-        if self.baseline > 0.0 {
-            self.measured / self.baseline
-        } else {
-            0.0
-        }
-    }
-}
-
-/// Compare the report's measured p99 decision latency against the
-/// committed serve baseline. A check is emitted only when the sidecar has
-/// `serve.e2e_s` samples and the BENCH file has a nonzero open-loop p99.
-pub fn latency_checks(
-    report: &SidecarReport,
-    bench_serve: Option<&Json>,
-    tolerance: f64,
-) -> Vec<LatencyCheck> {
-    let mut checks = Vec::new();
-    if let (Some(measured), Some(baseline)) = (
-        report.serve_p99_us(),
-        bench_serve.and_then(serve_p99_baseline),
-    ) {
-        checks.push(LatencyCheck {
-            name: "serve_p99",
-            measured,
-            baseline,
-            tolerance,
-        });
-    }
-    checks
-}
-
-/// Compare the report's measured throughputs against whichever baselines
-/// are provided and applicable. A check is emitted only when both a
-/// measurement and its baseline exist.
-pub fn throughput_checks(
-    report: &SidecarReport,
-    bench_rollout: Option<&Json>,
-    bench_serve: Option<&Json>,
-    bench_train: Option<&Json>,
-    tolerance: f64,
-) -> Vec<ThroughputCheck> {
-    let mut checks = Vec::new();
-    if let (Some(measured), Some(baseline)) = (
-        report.rollout_eps(),
-        bench_rollout.and_then(rollout_baseline),
-    ) {
-        checks.push(ThroughputCheck {
-            name: "rollout",
-            measured,
-            baseline,
-            tolerance,
-        });
-    }
-    if let (Some(measured), Some(baseline)) =
-        (report.serve_qps(), bench_serve.and_then(serve_baseline))
-    {
-        checks.push(ThroughputCheck {
-            name: "serve",
-            measured,
-            baseline,
-            tolerance,
-        });
-    }
-    // Distributed training uses the same episodes/s measurement as the
-    // rollout gate (the coordinator heartbeats through the trainer's
-    // telemetry) but gates against the committed multi-worker scaling
-    // curve, so a scheduling or merge regression shows up even when the
-    // single-process rollout path is healthy.
-    if let (Some(measured), Some(baseline)) =
-        (report.rollout_eps(), bench_train.and_then(train_baseline))
-    {
-        checks.push(ThroughputCheck {
-            name: "train",
-            measured,
-            baseline,
-            tolerance,
-        });
-    }
-    checks
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -961,131 +729,9 @@ mod tests {
         assert_eq!(report.epochs[1].gauges["epoch.mean_reward"], 1.5);
         assert_eq!(report.counter_totals["train.episodes"], 42);
         assert_eq!(report.mean_heartbeat_eps(), Some(42.0));
-        assert_eq!(report.rollout_eps(), Some(42.0));
         let mut text = String::new();
         report.render(&mut text);
         assert!(text.contains("epoch") && text.contains("1.25"));
-    }
-
-    #[test]
-    fn rollout_eps_falls_back_to_episodes_over_rollout_span() {
-        let events = [
-            open("epoch", 0.0),
-            open("rollout", 0.0),
-            count("train.episodes", 1.0, 100),
-            close("rollout", 2.0, 2.0),
-            close("epoch", 2.5, 2.5),
-        ];
-        let report = analyze(&events);
-        assert_eq!(report.rollout_eps(), Some(50.0));
-    }
-
-    #[test]
-    fn regression_check_uses_tolerance() {
-        let bench = json::parse(
-            r#"{"episodes_per_sec":[{"workers":1,"optimized":1000.0},{"workers":4,"optimized":2000.0}]}"#,
-        )
-        .unwrap();
-        assert_eq!(rollout_baseline(&bench), Some(2000.0));
-        let slow = ThroughputCheck {
-            name: "rollout",
-            measured: 900.0,
-            baseline: 2000.0,
-            tolerance: 0.5,
-        };
-        assert!(slow.regressed());
-        let ok = ThroughputCheck {
-            tolerance: 0.6,
-            ..slow.clone()
-        };
-        assert!(!ok.regressed());
-        assert!((ok.ratio() - 0.45).abs() < 1e-9);
-    }
-
-    #[test]
-    fn serve_baseline_reads_open_loop_qps() {
-        let bench = json::parse(r#"{"open_loop":{"achieved_qps":59809.76},"config":{}}"#).unwrap();
-        assert_eq!(serve_baseline(&bench), Some(59809.76));
-        let report = analyze(&[
-            count("serve.requests", 1.0, 500),
-            count("serve.requests", 2.0, 500),
-        ]);
-        assert_eq!(report.serve_qps(), Some(500.0));
-        let checks = throughput_checks(&report, None, Some(&bench), None, 0.5);
-        assert_eq!(checks.len(), 1);
-        assert!(checks[0].regressed(), "500 qps vs ~60k baseline");
-    }
-
-    #[test]
-    fn train_baseline_gates_against_the_scaling_curve_peak() {
-        let bench = json::parse(
-            r#"{"episodes_per_sec":[{"workers":1,"eps":800.0},{"workers":2,"eps":1500.0},{"workers":4,"eps":2600.0}]}"#,
-        )
-        .unwrap();
-        assert_eq!(train_baseline(&bench), Some(2600.0));
-        // No rows -> no baseline -> no check.
-        let empty = json::parse(r#"{"episodes_per_sec":[]}"#).unwrap();
-        assert_eq!(train_baseline(&empty), None);
-
-        let report = analyze(&[ReportEvent::Heartbeat {
-            name: "train".into(),
-            t: 1.0,
-            epoch: 0,
-            eps: 1000.0,
-        }]);
-        let checks = throughput_checks(&report, None, None, Some(&bench), 0.5);
-        assert_eq!(checks.len(), 1);
-        assert_eq!(checks[0].name, "train");
-        assert!(
-            checks[0].regressed(),
-            "1000 eps vs 2600 baseline at 0.5 tolerance"
-        );
-        assert!(!throughput_checks(&report, None, None, Some(&bench), 0.7)[0].regressed());
-        assert!(throughput_checks(&report, None, None, Some(&empty), 0.5).is_empty());
-    }
-
-    fn hist(name: &str, t: f64, value: f64) -> ReportEvent {
-        ReportEvent::Histogram {
-            name: name.into(),
-            t,
-            value,
-        }
-    }
-
-    #[test]
-    fn serve_p99_gate_compares_e2e_samples_to_open_loop_baseline() {
-        // 100 samples: 90 fast (100us) and 10 slow (10ms). Nearest-rank
-        // p99 is the 99th smallest, which lands in the slow tail -> 10ms.
-        let mut events: Vec<ReportEvent> = (0..90)
-            .map(|i| hist("serve.e2e_s", i as f64 * 0.01, 100e-6))
-            .collect();
-        events.extend((0..10).map(|i| hist("serve.e2e_s", 1.0 + i as f64 * 0.01, 10_000e-6)));
-        events.push(hist("serve.e2e_s", 1.1, f64::NAN)); // ignored
-        let report = analyze(&events);
-        let p99 = report.serve_p99_us().expect("samples present");
-        assert!((p99 - 10_000.0).abs() < 1e-6, "{p99}");
-
-        let bench = json::parse(r#"{"open_loop":{"achieved_qps":1.0,"p99_us":400.0}}"#).unwrap();
-        assert_eq!(serve_p99_baseline(&bench), Some(400.0));
-        let checks = latency_checks(&report, Some(&bench), 1.0);
-        assert_eq!(checks.len(), 1);
-        assert!(checks[0].regressed(), "10ms vs 400us*(1+1.0)");
-        assert!((checks[0].ratio() - 25.0).abs() < 1e-9);
-
-        // Generous tolerance passes; a zero baseline emits no check.
-        assert!(!latency_checks(&report, Some(&bench), 30.0)[0].regressed());
-        let zero = json::parse(r#"{"open_loop":{"p99_us":0.0}}"#).unwrap();
-        assert!(latency_checks(&report, Some(&zero), 1.0).is_empty());
-    }
-
-    #[test]
-    fn quantile_is_nearest_rank() {
-        assert_eq!(quantile(&[], 0.5), None);
-        assert_eq!(quantile(&[7.0], 0.99), Some(7.0));
-        let v: Vec<f64> = (1..=100).map(|i| i as f64).collect();
-        assert_eq!(quantile(&v, 0.50), Some(50.0));
-        assert_eq!(quantile(&v, 0.99), Some(99.0));
-        assert_eq!(quantile(&v, 1.0), Some(100.0));
     }
 
     #[test]

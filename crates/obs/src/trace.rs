@@ -26,13 +26,19 @@
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
-/// splitmix64 — the same finalizer the simulator's seeding uses; good
-/// enough to decorrelate ids and cheap enough for the hot path.
-pub fn splitmix64(mut x: u64) -> u64 {
-    x = x.wrapping_add(0x9E37_79B9_7F4A_7C15);
-    x = (x ^ (x >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    x = (x ^ (x >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    x ^ (x >> 31)
+/// The splitmix64 output finalizer on its own, for callers that fold
+/// their own increment or salt into `z` first.
+pub fn mix64(mut z: u64) -> u64 {
+    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+    z ^ (z >> 31)
+}
+
+/// splitmix64 — one golden-ratio increment, then [`mix64`]; good enough
+/// to decorrelate ids and cheap enough for the hot path. The workspace's
+/// one copy: scenario seeding, tenant attribution and fault plans call it.
+pub fn splitmix64(x: u64) -> u64 {
+    mix64(x.wrapping_add(0x9E37_79B9_7F4A_7C15))
 }
 
 /// Derive a non-zero trace id for request `n` under `seed` (used by
@@ -652,6 +658,12 @@ pub fn summarize(spans: &[SpanRecord]) -> Result<TraceSummary, String> {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn splitmix64_known_answer() {
+        // First output of the reference SplitMix64 generator seeded 0.
+        assert_eq!(splitmix64(0), 0xE220_A839_7B1D_CDAF);
+    }
 
     fn span(trace: u64, kind: SpanKind, start: u64, end: u64) -> SpanRecord {
         let parent = match kind {

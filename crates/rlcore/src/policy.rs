@@ -1,7 +1,6 @@
 //! The stochastic binary policy (accept / reject) over a two-logit MLP.
 
 use rand::{Rng, RngExt, SeedableRng};
-use serde::{Deserialize, Serialize};
 use tinynn::loss::{log_softmax, softmax};
 use tinynn::{Activation, ForwardScratch, Mlp, Tape};
 
@@ -38,7 +37,7 @@ pub fn greedy_from_logits(l0: f32, l1: f32) -> (u8, f32) {
 
 /// A categorical policy over {accept, reject}, backed by an MLP emitting two
 /// logits (the paper's policy network: hidden layers 32/16/8, §3.1).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct BinaryPolicy {
     net: Mlp,
 }

@@ -2,7 +2,6 @@
 //! (Schulman et al., 2017), the paper's training algorithm (§4.1).
 
 use obs::Telemetry;
-use serde::{Deserialize, Serialize};
 use tinynn::loss::{log_softmax, softmax};
 use tinynn::{Adam, Tape};
 
@@ -13,7 +12,7 @@ use crate::value::ValueNet;
 
 /// PPO hyper-parameters. Defaults follow the paper (§4.1: lr 1e-3) and
 /// SpinningUp's PPO defaults for the rest.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct PpoConfig {
     /// Clipping radius ε of the surrogate objective.
     pub clip: f32,
@@ -46,7 +45,7 @@ impl Default for PpoConfig {
 }
 
 /// Diagnostics from one PPO update.
-#[derive(Debug, Clone, Copy, PartialEq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub struct UpdateStats {
     /// Final surrogate policy loss.
     pub pi_loss: f32,

@@ -5,10 +5,8 @@
 //! trajectory is a list of (state, action, log-prob) steps plus a single
 //! scalar reward.
 
-use serde::{Deserialize, Serialize};
-
 /// One inspection decision inside a trajectory.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Step {
     /// Feature vector observed at the scheduling point.
     pub state: Vec<f32>,
@@ -20,7 +18,7 @@ pub struct Step {
 
 /// One episode: all inspection decisions over a job sequence plus the final
 /// reward computed after the last job finished.
-#[derive(Debug, Clone, PartialEq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Default)]
 pub struct Trajectory {
     /// Steps in decision order.
     pub steps: Vec<Step>,
@@ -50,7 +48,7 @@ impl Trajectory {
 
 /// A batch of trajectories — the unit of one PPO model update (the paper
 /// collects 100 trajectories per epoch, §4.1).
-#[derive(Debug, Clone, PartialEq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Default)]
 pub struct Batch {
     /// Collected trajectories.
     pub trajectories: Vec<Trajectory>,

@@ -3,11 +3,10 @@
 //! same inputs, but output different values").
 
 use rand::SeedableRng;
-use serde::{Deserialize, Serialize};
 use tinynn::{Activation, Mlp, Tape};
 
 /// State-value estimator `V(s)`.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ValueNet {
     net: Mlp,
 }

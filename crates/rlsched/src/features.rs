@@ -1,6 +1,5 @@
 //! Per-job features for the learned selector.
 
-use serde::{Deserialize, Serialize};
 use simhpc::PolicyContext;
 use workload::Job;
 
@@ -13,7 +12,7 @@ pub const JOB_FEATURES: usize = 5;
 pub const MAX_SLOTS: usize = 32;
 
 /// Normalization constants for selector features.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct SelectorNorm {
     /// Cap for waiting times (seconds).
     pub max_wait: f64,

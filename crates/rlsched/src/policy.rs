@@ -8,7 +8,6 @@
 
 use rand::rngs::StdRng;
 use rand::{RngExt, SeedableRng};
-use serde::{Deserialize, Serialize};
 use simhpc::{PolicyContext, SchedulingPolicy};
 use tinynn::loss::log_softmax;
 use tinynn::{Activation, Mlp};
@@ -17,7 +16,7 @@ use workload::Job;
 use crate::features::{SelectorNorm, JOB_FEATURES, MAX_SLOTS};
 
 /// The trainable selector network: per-job features → scalar logit.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct SelectorNet {
     net: Mlp,
     /// Feature normalization.
@@ -168,7 +167,7 @@ impl SchedulingPolicy for SelectorPolicy<'_> {
 
 /// A frozen trained selector usable as a *base policy* — including under a
 /// SchedInspector, the combination the paper names as future work (§7).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct TrainedScheduler {
     net: SelectorNet,
 }

@@ -10,7 +10,6 @@ use obs::Telemetry;
 use rand::rngs::StdRng;
 use rand::{RngExt, SeedableRng};
 use rlcore::normalize;
-use serde::{Deserialize, Serialize};
 use simhpc::{Metric, SimConfig, Simulator};
 use tinynn::loss::{log_softmax, softmax};
 use tinynn::{Adam, Mlp, Tape};
@@ -27,7 +26,7 @@ struct SelTrajectory {
 }
 
 /// Selector training configuration.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct SelectorConfig {
     /// Metric to optimize (reward is the percentage improvement over SJF).
     pub metric: Metric,
@@ -63,7 +62,7 @@ impl Default for SelectorConfig {
 }
 
 /// Per-epoch diagnostics.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct SelectorEpoch {
     /// Epoch index.
     pub epoch: usize,

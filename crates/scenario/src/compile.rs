@@ -14,6 +14,7 @@
 //! are `Vec`s, so the same inputs always produce byte-identical artifacts.
 //! A property test in `tests/` holds this invariant.
 
+use obs::trace::mix64;
 use rand::rngs::StdRng;
 use rand::{Rng, RngExt, SeedableRng};
 use swf::SwfHeader;
@@ -93,10 +94,7 @@ impl std::error::Error for CompileError {}
 /// SplitMix64-style stream split so each tenant (and each sampler within a
 /// tenant) gets an independent deterministic seed.
 fn mix(seed: u64, salt: u64) -> u64 {
-    let mut z = seed ^ salt.wrapping_mul(0x9E37_79B9_7F4A_7C15);
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    z ^ (z >> 31)
+    mix64(seed ^ salt.wrapping_mul(0x9E37_79B9_7F4A_7C15))
 }
 
 /// Sample a processor count: serial with `serial_prob`, otherwise

@@ -6,6 +6,8 @@
 //! library and the CLI. The on-disk form is the same TOML fragment the
 //! scenario grammar uses, so one parser serves both.
 
+use obs::trace::splitmix64;
+
 use crate::toml::{escape, Doc, Value};
 
 /// How a tenant shares the replayed request stream.
@@ -113,12 +115,7 @@ impl LoadProfile {
             return 0;
         }
         // SplitMix64 of (seed, id) → uniform in [0, 1) → weight CDF.
-        let mut z = request_id
-            .wrapping_add(self.seed)
-            .wrapping_add(0x9E37_79B9_7F4A_7C15);
-        z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-        z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-        z ^= z >> 31;
+        let z = splitmix64(request_id.wrapping_add(self.seed));
         let total: f64 = self.tenants.iter().map(|t| t.weight).sum();
         let u = (z >> 11) as f64 / (1u64 << 53) as f64 * total;
         let mut acc = 0.0;

@@ -1,8 +1,7 @@
 //! A minimal TOML subset parser for scenario specs and load profiles.
 //!
-//! The allowed dependency set has no TOML crate (and the workspace `serde`
-//! is a no-op dev stub), so this module implements the fragment the
-//! scenario grammar needs, from scratch:
+//! The allowed dependency set has no TOML crate, so this module implements
+//! the fragment the scenario grammar needs, from scratch:
 //!
 //! * `key = value` pairs with bare keys;
 //! * basic strings (`"..."` with `\"`, `\\`, `\n`, `\t` escapes);

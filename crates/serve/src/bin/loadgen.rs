@@ -1,24 +1,16 @@
 //! `loadgen` — drive a decision server and report throughput/latency.
 //!
-//! Two modes:
-//!
-//! * `loadgen --addr HOST:PORT` — open-loop load against an already
-//!   running server (e.g. `schedinspector serve`); used by the CI smoke
-//!   job. Exits nonzero if no decision came back.
-//! * `loadgen --model FILE` — self-contained benchmark: starts in-process
-//!   servers (micro-batched at 1/2/4 engine shards, batch-size-1, and
-//!   optionally int8-quantized), measures saturation capacity on each plus
-//!   open-loop latency on the batched one, and writes the combined
-//!   `BENCH_serve.json` report with per-shard batch-size distributions.
+//! `loadgen --addr HOST:PORT` sends open-loop load (optionally shaped by a
+//! `--profile`) at an already running server (e.g. `schedinspector
+//! serve`); the CI smoke and scenario jobs use it. Exits nonzero if no
+//! decision came back. It is a client tool, not a benchmark: capacity and
+//! latency are measured by `crates/spine` (`serve_open`, `serve_closed`).
 
-use std::collections::BTreeMap;
-use std::path::Path;
 use std::process::exit;
 
 use obs::json::Json;
 use scenario::LoadProfile;
-use serve::loadgen::{self, LoadConfig};
-use serve::{serve, ServeConfig};
+use serve::loadgen;
 
 struct Args {
     map: Vec<(String, String)>,
@@ -27,10 +19,15 @@ struct Args {
 impl Args {
     fn parse(args: &[String]) -> Args {
         let mut map = Vec::new();
-        let mut it = args.iter();
+        let mut it = args.iter().peekable();
         while let Some(a) = it.next() {
             if let Some(key) = a.strip_prefix("--") {
-                let value = it.next().cloned().unwrap_or_default();
+                // Bare flags (`--shutdown-after`) must not swallow the
+                // next option as their value.
+                let value = match it.peek() {
+                    Some(v) if !v.starts_with("--") => it.next().cloned().unwrap_or_default(),
+                    _ => String::new(),
+                };
                 map.push((key.to_string(), value));
             }
         }
@@ -44,50 +41,42 @@ impl Args {
             .map(|(_, v)| v.as_str())
     }
 
+    /// `--key`'s value, or `default` when the flag is absent. A value
+    /// that does not parse is a usage error, not a silent default.
     fn num<T: std::str::FromStr>(&self, key: &str, default: T) -> T {
-        self.get(key)
-            .and_then(|v| v.parse().ok())
-            .unwrap_or(default)
+        match self.get(key) {
+            None => default,
+            Some(v) => v.parse().unwrap_or_else(|_| {
+                eprintln!("--{key}: invalid value {v:?}");
+                exit(2)
+            }),
+        }
     }
 }
 
 fn usage() -> ! {
     eprintln!(
-        "usage: loadgen (--addr HOST:PORT | --model FILE) [options]\n\
+        "usage: loadgen --addr HOST:PORT [options]\n\
          \n\
          --addr HOST:PORT   open-loop load against a running server\n\
-         --model FILE       in-process benchmark; writes BENCH_serve.json\n\
          \n\
          options:\n\
            --profile FILE     typed load profile (TOML); flags below\n\
-                              override its fields     (--addr mode)\n\
+                              override its fields\n\
            --shards N         server shard count, for connection\n\
                               balancing                (default 1)\n\
            --fairness-out F   write the per-tenant fairness JSON\n\
            --qps N            target arrival rate      (default 50000)\n\
            --secs N           sending duration         (default 5)\n\
            --conns N          parallel connections     (default 4)\n\
-           --window N         closed-loop pipelining   (default 64)\n\
-           --batch N          server micro-batch cap   (default 16)\n\
-           --quantized 1      add an int8 capacity case (--model mode)\n\
            --trace-sample N   trace every Nth request and verify the\n\
                               decision echoes the id   (default 0 = off)\n\
            --seed N           RNG seed                 (default 0)\n\
-           --label S          report label             (--addr mode)\n\
-           --out FILE         report path (default BENCH_serve.json)\n\
+           --label S          report label\n\
+           --out FILE         write the run report JSON\n\
            --shutdown-after 1 send the shutdown verb when done"
     );
     exit(2)
-}
-
-fn load_config(args: &Args) -> LoadConfig {
-    LoadConfig {
-        qps: args.num("qps", 50_000.0f64),
-        secs: args.num("secs", 5.0f64),
-        conns: args.num("conns", 4usize),
-        seed: args.num("seed", 0u64),
-        trace_sample: args.num("trace-sample", 0u64),
-    }
 }
 
 fn write_report(path: &str, report: &Json) {
@@ -118,18 +107,10 @@ fn resolve_profile(args: &Args) -> LoadProfile {
         }
         None => LoadProfile::steady("open_loop", 50_000.0, 5.0, 4, 0),
     };
-    if let Some(v) = args.get("qps") {
-        profile.qps = v.parse().unwrap_or(profile.qps);
-    }
-    if let Some(v) = args.get("secs") {
-        profile.secs = v.parse().unwrap_or(profile.secs);
-    }
-    if let Some(v) = args.get("conns") {
-        profile.conns = v.parse().unwrap_or(profile.conns);
-    }
-    if let Some(v) = args.get("seed") {
-        profile.seed = v.parse().unwrap_or(profile.seed);
-    }
+    profile.qps = args.num("qps", profile.qps);
+    profile.secs = args.num("secs", profile.secs);
+    profile.conns = args.num("conns", profile.conns);
+    profile.seed = args.num("seed", profile.seed);
     profile
 }
 
@@ -137,6 +118,8 @@ fn run_external(args: &Args, addr: &str) {
     let profile = resolve_profile(args);
     let shards = args.num("shards", 1usize);
     let trace_sample = args.num("trace-sample", 0u64);
+    // Parsed before the run so a malformed value fails fast, not after it.
+    let shutdown_after = args.num("shutdown-after", 0u8) != 0;
     println!(
         "open loop [{}]: {} conns, {:.0} qps target, {:.1}s",
         profile.name,
@@ -169,7 +152,7 @@ fn run_external(args: &Args, addr: &str) {
     if !fairness.tenants.is_empty() {
         print!("{}", fairness.render());
     }
-    if args.num("shutdown-after", 0u8) != 0 {
+    if shutdown_after {
         loadgen::send_shutdown(addr).unwrap_or_else(|e| eprintln!("shutdown: {e}"));
         println!("sent shutdown");
     }
@@ -189,247 +172,11 @@ fn run_external(args: &Args, addr: &str) {
     }
 }
 
-/// One capacity-sweep entry: a server configuration to saturate.
-struct CaseSpec {
-    key: String,
-    max_batch: usize,
-    shards: usize,
-    quantized: bool,
-    /// Enable the flight recorder and stamp a trace id on every request
-    /// (with promotion disabled) — the recorder-overhead case.
-    traced: bool,
-}
-
-/// One capacity case: start an in-process server with the given
-/// batch/shard/quantized settings, saturate it closed-loop, and return the
-/// achieved QPS plus the case's JSON report (including the per-shard
-/// batch-size distribution pulled from the live stats block).
-fn capacity_case(
-    inspector: &inspector::SchedInspector,
-    spec: &CaseSpec,
-    window: usize,
-    conns: usize,
-    secs: f64,
-    seed: u64,
-) -> (f64, Json) {
-    let (key, shards) = (spec.key.as_str(), spec.shards);
-    // Connections pin to engine shards by `conn_id % shards`, so an
-    // arbitrary `--conns` leaves some shards with an extra closed loop and
-    // skews the per-shard batch-size stats. Round the connection count up
-    // to a shard multiple so every shard sees the same offered load.
-    let conns =
-        LoadProfile::steady(key, 1.0, 1.0, conns as u32, seed).balanced_conns(shards) as usize;
-    // The traced case measures raw flight-recorder cost: every request
-    // carries a trace id, but the slow threshold is unreachable so no
-    // trace is ever promoted (the acceptance bar is on recording alone).
-    let trace = spec.traced.then(|| serve::TraceConfig {
-        slow_us: u64::MAX,
-        store_dir: None,
-        dump_path: None,
-        ..serve::TraceConfig::default()
-    });
-    let handle = serve(
-        inspector.clone(),
-        ServeConfig {
-            max_batch: spec.max_batch,
-            shards,
-            quantized: spec.quantized,
-            workers: conns.max(2),
-            trace,
-            ..ServeConfig::default()
-        },
-        obs::Telemetry::disabled(),
-    )
-    .unwrap_or_else(|e| {
-        eprintln!("cannot start server: {e}");
-        exit(1)
-    });
-    let addr = handle.addr().to_string();
-    let trace_sample = if spec.traced { 1 } else { 0 };
-    let mut report = loadgen::closed_loop(&addr, window, conns, secs, seed, trace_sample)
-        .unwrap_or_else(|e| {
-            eprintln!("closed loop failed: {e}");
-            exit(1)
-        });
-    report.label = key.to_string();
-    let stats = handle.stats();
-    println!(
-        "  {key}: {:.0} decisions/s (mean batch {:.1}, p99 {:.1}us, {} shard{})",
-        report.achieved_qps,
-        stats.mean_batch_size(),
-        report.p99_us,
-        shards,
-        if shards == 1 { "" } else { "s" }
-    );
-    let mut j = report.to_json();
-    if let Json::Object(m) = &mut j {
-        m.insert("shards".into(), Json::Number(shards as f64));
-        m.insert("quantized".into(), Json::Bool(spec.quantized));
-        m.insert(
-            "mean_batch_size".into(),
-            Json::Number(stats.mean_batch_size()),
-        );
-        // Per-shard batch-size distribution: how evenly routing spread the
-        // load and how well each shard's micro-batching amortized.
-        let per_shard = stats
-            .shards
-            .iter()
-            .map(|s| {
-                let mut sm = BTreeMap::new();
-                sm.insert("ok".into(), Json::Number(s.ok.get() as f64));
-                sm.insert("batches".into(), Json::Number(s.batches.get() as f64));
-                sm.insert("mean_batch_size".into(), Json::Number(s.mean_batch_size()));
-                sm.insert(
-                    "batch_size_p50".into(),
-                    Json::Number(s.batch_size.quantile_ticks(0.50) as f64),
-                );
-                sm.insert(
-                    "batch_size_p95".into(),
-                    Json::Number(s.batch_size.quantile_ticks(0.95) as f64),
-                );
-                Json::Object(sm)
-            })
-            .collect();
-        m.insert("per_shard".into(), Json::Array(per_shard));
-    }
-    handle.shutdown();
-    (report.achieved_qps, j)
-}
-
-fn run_compare(args: &Args, model: &str) {
-    let inspector = inspector::model_io::load(Path::new(model)).unwrap_or_else(|e| {
-        eprintln!("cannot load {model}: {e}");
-        exit(2)
-    });
-    let cfg = load_config(args);
-    let window = args.num("window", 64usize);
-    let max_batch = args.num("batch", 16usize);
-    let quantized = args.num("quantized", 0u8) != 0;
-    let cap_secs = (cfg.secs / 2.0).max(1.0);
-
-    // The batch1/microbatch pair isolates the micro-batching win; the
-    // shards sweep isolates the sharding win on top of it.
-    let case = |key: &str, max_batch: usize, shards: usize, quantized: bool| CaseSpec {
-        key: key.to_string(),
-        max_batch,
-        shards,
-        quantized,
-        traced: false,
-    };
-    let mut cases = vec![
-        case("microbatch", max_batch, 1, false),
-        case("batch1", 1, 1, false),
-        case("microbatch_shards2", max_batch, 2, false),
-        case("microbatch_shards4", max_batch, 4, false),
-        // Same as `microbatch` but with the flight recorder on and every
-        // request traced; `trace_overhead` below compares the two.
-        CaseSpec {
-            traced: true,
-            ..case("microbatch_traced", max_batch, 1, false)
-        },
-    ];
-    if quantized {
-        cases.push(case("microbatch_quantized", max_batch, 1, true));
-    }
-
-    let mut capacity = BTreeMap::new();
-    let mut qps_by_key: BTreeMap<String, f64> = BTreeMap::new();
-    for spec in &cases {
-        let (qps, j) = capacity_case(&inspector, spec, window, cfg.conns, cap_secs, cfg.seed);
-        qps_by_key.insert(spec.key.clone(), qps);
-        capacity.insert(spec.key.clone(), j);
-    }
-    let batched_qps = qps_by_key.get("microbatch").copied().unwrap_or(0.0);
-    let batch1_qps = qps_by_key.get("batch1").copied().unwrap_or(0.0);
-    let ratio = |num: &str| {
-        let n = qps_by_key.get(num).copied().unwrap_or(0.0);
-        if batched_qps > 0.0 {
-            n / batched_qps
-        } else {
-            0.0
-        }
-    };
-    capacity.insert(
-        "speedup".into(),
-        Json::Number(if batch1_qps > 0.0 {
-            batched_qps / batch1_qps
-        } else {
-            0.0
-        }),
-    );
-    capacity.insert(
-        "shard_scaling_2x".into(),
-        Json::Number(ratio("microbatch_shards2")),
-    );
-    capacity.insert(
-        "shard_scaling_4x".into(),
-        Json::Number(ratio("microbatch_shards4")),
-    );
-    // Fractional capacity lost to the flight recorder with promotion
-    // disabled (acceptance bar: <= 0.01).
-    capacity.insert(
-        "trace_overhead".into(),
-        Json::Number((1.0 - ratio("microbatch_traced")).max(0.0)),
-    );
-
-    // Open-loop latency on a fresh micro-batched server.
-    let handle = serve(
-        inspector,
-        ServeConfig {
-            max_batch,
-            workers: cfg.conns.max(2),
-            ..ServeConfig::default()
-        },
-        obs::Telemetry::disabled(),
-    )
-    .unwrap_or_else(|e| {
-        eprintln!("cannot start server: {e}");
-        exit(1)
-    });
-    let addr = handle.addr().to_string();
-    println!(
-        "open loop: {} conns, {:.0} qps target, {:.1}s",
-        cfg.conns, cfg.qps, cfg.secs
-    );
-    let open = loadgen::open_loop(&addr, &cfg).unwrap_or_else(|e| {
-        eprintln!("open loop failed: {e}");
-        exit(1)
-    });
-    println!(
-        "  achieved {:.0}/s, p50 {:.1}us p95 {:.1}us p99 {:.1}us",
-        open.achieved_qps, open.p50_us, open.p95_us, open.p99_us
-    );
-    handle.shutdown();
-
-    let sustained = open.achieved_qps >= 50_000.0 || batched_qps >= 50_000.0;
-    let mut root = BTreeMap::new();
-    root.insert("bench".into(), Json::String("serve".into()));
-    let mut config = BTreeMap::new();
-    config.insert("qps".into(), Json::Number(cfg.qps));
-    config.insert("secs".into(), Json::Number(cfg.secs));
-    config.insert("conns".into(), Json::Number(cfg.conns as f64));
-    config.insert("window".into(), Json::Number(window as f64));
-    config.insert("max_batch".into(), Json::Number(max_batch as f64));
-    config.insert("quantized".into(), Json::Bool(quantized));
-    config.insert("seed".into(), Json::Number(cfg.seed as f64));
-    root.insert("config".into(), Json::Object(config));
-    root.insert("capacity".into(), Json::Object(capacity));
-    root.insert("open_loop".into(), open.to_json());
-    root.insert("sustained_ge_50k".into(), Json::Bool(sustained));
-    let report = Json::Object(root);
-    write_report(args.get("out").unwrap_or("BENCH_serve.json"), &report);
-    if open.ok == 0 {
-        eprintln!("no successful decisions — failing");
-        exit(1);
-    }
-}
-
 fn main() {
     let argv: Vec<String> = std::env::args().skip(1).collect();
     let args = Args::parse(&argv);
-    match (args.get("addr"), args.get("model")) {
-        (Some(addr), None) => run_external(&args, addr),
-        (None, Some(model)) => run_compare(&args, model),
-        _ => usage(),
+    match args.get("addr") {
+        Some(addr) => run_external(&args, addr),
+        None => usage(),
     }
 }

@@ -38,7 +38,7 @@ use inspector::{Decision, SchedInspector};
 use obs::trace::span_id;
 use obs::{Clock, Recorder, SpanKind, SpanRecord, SpanStatus, Telemetry};
 use store::SwapCell;
-use tinynn::{BatchForwardScratch, Mlp, QuantScratch, QuantizedMlp};
+use tinynn::{BatchForwardScratch, Mlp};
 
 use crate::stats::ServerStats;
 
@@ -53,9 +53,6 @@ pub struct EngineConfig {
     /// Number of engine shards (inference threads + rings). Connections
     /// are routed by [`shard_for`].
     pub shards: usize,
-    /// Run the int8-quantized forward path ([`tinynn::QuantizedMlp`])
-    /// instead of the bit-exact f32 fused path.
-    pub quantized: bool,
     /// Generation tag of the initially loaded model. `0` for models that
     /// did not come from a store; [`BatchEngine::swap_model`] only accepts
     /// strictly newer generations.
@@ -73,7 +70,6 @@ impl Default for EngineConfig {
             max_batch: 16,
             queue_capacity: 4096,
             shards: 1,
-            quantized: false,
             model_generation: 0,
             trace: Recorder::disabled(),
         }
@@ -276,21 +272,6 @@ impl Shard {
     }
 }
 
-/// The swappable inference payload: the f32 network plus, for quantized
-/// configs, its int8 companion built **once** at publish time and shared
-/// by every shard (forwards take `&self`; scratch stays per-shard).
-struct ServeModel {
-    mlp: Mlp,
-    quantized: Option<QuantizedMlp>,
-}
-
-impl ServeModel {
-    fn build(mlp: Mlp, quantize: bool) -> ServeModel {
-        let quantized = quantize.then(|| QuantizedMlp::quantize(&mlp));
-        ServeModel { mlp, quantized }
-    }
-}
-
 struct Shared {
     shards: Vec<Shard>,
     shutdown: AtomicBool,
@@ -300,7 +281,7 @@ struct Shared {
     /// for the duration of one forward pass (epoch-based reclamation —
     /// see [`store::SwapCell`]); a publish blocks only until in-flight
     /// batches finish, never dropping or misrouting a request.
-    model: SwapCell<ServeModel>,
+    model: SwapCell<Mlp>,
     input_dim: usize,
     /// Serializes writers: [`BatchEngine::swap_model`] may be called from
     /// the registry watcher and an admin path concurrently.
@@ -321,7 +302,7 @@ impl Shared {
 }
 
 /// Handle to the sharded engine. Submissions may come from any thread; one
-/// background thread per shard owns a model clone and runs the batches.
+/// background thread per shard runs the batches on the shared live model.
 pub struct BatchEngine {
     shared: Arc<Shared>,
     input_dim: usize,
@@ -329,10 +310,9 @@ pub struct BatchEngine {
 }
 
 impl BatchEngine {
-    /// Spawn one inference thread per shard around a loaded model (each
-    /// shard clones the 938-parameter network; for `quantized` configs it
-    /// also builds its own [`QuantizedMlp`]). Deadlines are interpreted as
-    /// ticks of `clock` (production: [`obs::SystemClock`]).
+    /// Spawn one inference thread per shard around a loaded model, which
+    /// the shards share through the [`SwapCell`]. Deadlines are interpreted
+    /// as ticks of `clock` (production: [`obs::SystemClock`]).
     ///
     /// # Panics
     ///
@@ -352,7 +332,7 @@ impl BatchEngine {
             "ServerStats shard count must match EngineConfig.shards"
         );
         let input_dim = inspector.input_dim();
-        let model = ServeModel::build(inspector.policy.mlp().clone(), cfg.quantized);
+        let model = inspector.policy.mlp().clone();
         stats.model_generation.set(cfg.model_generation as f64);
         let shared = Arc::new(Shared {
             shards: (0..shards)
@@ -399,8 +379,7 @@ impl BatchEngine {
     }
 
     /// Hot-swap the serving model mid-traffic. Validates the network
-    /// shape and that `generation` strictly advances, builds the int8
-    /// companion when the engine runs quantized, publishes, and blocks
+    /// shape and that `generation` strictly advances, publishes, and blocks
     /// until no in-flight batch can still see the old model. Requests are
     /// never dropped or misrouted across the swap — each batch runs
     /// entirely on one model; the ledger stays exact.
@@ -428,7 +407,6 @@ impl BatchEngine {
                 "stale model generation {generation} (serving {current})"
             ));
         }
-        let model = ServeModel::build(model, self.shared.cfg.quantized);
         self.shared.model.publish(generation, model);
         self.shared.stats.model_generation.set(generation as f64);
         self.shared.stats.model_swaps.inc();
@@ -534,7 +512,6 @@ fn shard_loop(idx: usize, shared: Arc<Shared>, telemetry: Telemetry) {
     let sstats = &shared.stats.shards[idx];
     let input_dim = shared.input_dim;
     let recorder = &shared.cfg.trace;
-    let mut qscratch = QuantScratch::default();
     let mut fwd = BatchForwardScratch::default();
     let mut batch: Vec<Pending> = Vec::with_capacity(shared.cfg.max_batch);
     let mut expired: Vec<bool> = Vec::with_capacity(shared.cfg.max_batch);
@@ -597,11 +574,7 @@ fn shard_loop(idx: usize, shared: Arc<Shared>, telemetry: Telemetry) {
         let model = shared.model.pin(idx);
         let generation = model.generation();
         let t_forward = if tracing { shared.clock.now_ns() } else { 0 };
-        let logits: &[f32] = if let Some(qmodel) = &model.quantized {
-            qmodel.forward_batch(&mut fwd, &mut qscratch)
-        } else {
-            model.mlp.forward_batch(&mut fwd)
-        };
+        let logits: &[f32] = model.forward_batch(&mut fwd);
         let t_done = if tracing { shared.clock.now_ns() } else { 0 };
 
         // Pass 3: answer in submission order (per-connection FIFO). Error
@@ -880,53 +853,6 @@ mod tests {
         let shard_ok: u64 = stats.shards.iter().map(|s| s.ok.get()).sum();
         assert_eq!(shard_ok, stats.ok.get());
         assert_eq!(stats.ok.get(), 8 * 32);
-    }
-
-    #[test]
-    fn quantized_engine_decisions_track_f32_probabilities() {
-        use rand::{RngExt, SeedableRng, StdRng};
-        let inspector = tiny_inspector();
-        let reference = tiny_inspector();
-        let dim = inspector.input_dim();
-        let stats = Arc::new(ServerStats::sharded(dim, 16, 2));
-        let engine = BatchEngine::start(
-            inspector,
-            EngineConfig {
-                shards: 2,
-                quantized: true,
-                ..EngineConfig::default()
-            },
-            stats,
-            Telemetry::disabled(),
-            obs::SystemClock::shared(),
-        );
-        let mut rng = StdRng::seed_from_u64(5);
-        let mut scratch = PolicyScratch::default();
-        let (tx, rx) = mpsc::channel();
-        for token in 0..64u64 {
-            let features: Vec<f32> = (0..dim).map(|_| rng.random_range(-1.0f32..1.0)).collect();
-            let expect = reference.decide(&features, &mut scratch);
-            engine
-                .submit(token, token, features, None, 0, tx.clone())
-                .unwrap();
-            match rx.recv().unwrap() {
-                (_, Completion::Decision { decision: got, .. }) => {
-                    // Int8 error budget: probabilities stay close; the
-                    // binary decision may only flip near p == 0.5.
-                    assert!(
-                        (got.p_reject - expect.p_reject).abs() < 0.05,
-                        "p_reject {} vs f32 {}",
-                        got.p_reject,
-                        expect.p_reject
-                    );
-                    if (expect.p_reject - 0.5).abs() > 0.05 {
-                        assert_eq!(got.reject, expect.reject);
-                    }
-                }
-                other => panic!("unexpected {other:?}"),
-            }
-        }
-        engine.shutdown();
     }
 
     #[test]

@@ -21,8 +21,8 @@
 //! already queued before its thread exits.
 //!
 //! The [`loadgen`] module (and the `loadgen` binary) drives a running
-//! server with open-loop arrivals at a target QPS and writes a
-//! `BENCH_serve.json` throughput/latency report.
+//! server with open-loop arrivals at a target QPS and reports the
+//! client-observed throughput and latency.
 //!
 //! # Quickstart
 //!
@@ -43,7 +43,7 @@ pub mod stats;
 pub mod transport;
 
 pub use engine::{shard_for, BatchEngine, Completion, EngineConfig, SubmitError};
-pub use loadgen::{replay_profile, LoadConfig, RunReport};
+pub use loadgen::{replay_profile, RunReport};
 pub use server::{serve, serve_with, ServeConfig, ServerHandle, ShutdownSignal, TraceConfig};
 pub use stats::{LatencyHistogram, ServerStats, ShardStats};
 pub use transport::{AcceptPolicy, DirectAccept, Transport};

@@ -1,13 +1,10 @@
-//! Load-generation clients for the decision service.
+//! Load-generation client for the decision service.
 //!
-//! Two complementary modes:
-//!
-//! * [`open_loop`] — arrivals follow an exponential inter-arrival process
-//!   at a target QPS regardless of how fast the server answers (the
-//!   honest way to measure latency under load: a closed loop hides
-//!   queueing by self-throttling);
-//! * [`closed_loop`] — each connection keeps a fixed window of requests
-//!   outstanding, measuring the server's saturation throughput.
+//! [`replay_profile`] is open-loop: arrivals follow an exponential
+//! inter-arrival process at a target QPS regardless of how fast the server
+//! answers (the honest way to measure latency under load: a closed loop
+//! hides queueing by self-throttling). Saturation capacity is measured by
+//! the `spine` benchmark's `serve_closed` workload, not here.
 
 use std::collections::BTreeMap;
 use std::io::{BufRead, BufReader, Write};
@@ -25,58 +22,12 @@ use workload::distributions::{Exponential, Sample};
 use crate::protocol::{self, Response};
 use crate::stats::LatencyHistogram;
 
-/// Open-loop run parameters.
-///
-/// This is the legacy flag-level view; [`replay_profile`] accepts the
-/// richer [`scenario::LoadProfile`] (phases, tenant mix) and [`open_loop`]
-/// now delegates to it through [`LoadConfig::to_profile`].
-#[derive(Debug, Clone)]
-pub struct LoadConfig {
-    /// Aggregate target arrival rate across all connections.
-    pub qps: f64,
-    /// Sending duration in seconds.
-    pub secs: f64,
-    /// Parallel connections (arrivals are split evenly).
-    pub conns: usize,
-    /// RNG seed for inter-arrival times and feature payloads.
-    pub seed: u64,
-    /// Trace every Nth request (0 = tracing off): the sender stamps
-    /// `derive_trace_id(seed, id)` on the wire and the receiver verifies
-    /// the response echoes it bit-exactly.
-    pub trace_sample: u64,
-}
-
-impl Default for LoadConfig {
-    fn default() -> Self {
-        LoadConfig {
-            qps: 50_000.0,
-            secs: 5.0,
-            conns: 4,
-            seed: 0,
-            trace_sample: 0,
-        }
-    }
-}
-
-impl LoadConfig {
-    /// The equivalent flat single-tenant [`LoadProfile`].
-    pub fn to_profile(&self) -> LoadProfile {
-        LoadProfile::steady(
-            "open_loop",
-            self.qps,
-            self.secs,
-            self.conns.clamp(1, u32::MAX as usize) as u32,
-            self.seed,
-        )
-    }
-}
-
 /// Outcome of one load-generation run.
 #[derive(Debug, Clone)]
 pub struct RunReport {
-    /// Human label (e.g. `open_loop` / `microbatch`).
+    /// Human label (`replay:<profile name>` unless overridden).
     pub label: String,
-    /// Target rate (0 for closed-loop runs).
+    /// Target rate.
     pub offered_qps: f64,
     /// Decisions per second actually completed.
     pub achieved_qps: f64,
@@ -94,7 +45,7 @@ pub struct RunReport {
     pub trace_mismatch: u64,
     /// First send → last response, seconds.
     pub elapsed_s: f64,
-    /// Client-observed mean latency (µs; open loop only).
+    /// Client-observed mean latency (µs).
     pub mean_us: f64,
     /// Client-observed p50 latency (µs).
     pub p50_us: f64,
@@ -105,7 +56,7 @@ pub struct RunReport {
 }
 
 impl RunReport {
-    /// The report as a JSON object (for `BENCH_serve.json`).
+    /// The report as a JSON object (for `loadgen --out`).
     pub fn to_json(&self) -> Json {
         let mut m = BTreeMap::new();
         m.insert("label".into(), Json::String(self.label.clone()));
@@ -221,13 +172,6 @@ fn expected_trace(trace_sample: u64, seed: u64, id: u64) -> u64 {
     }
 }
 
-/// Drive `cfg.qps` exponential arrivals at the server for `cfg.secs`
-/// seconds and report client-observed latency quantiles.
-pub fn open_loop(addr: &str, cfg: &LoadConfig) -> Result<RunReport, String> {
-    let (report, _) = profile_run(addr, &cfg.to_profile(), 1, "open_loop", cfg.trace_sample)?;
-    Ok(report)
-}
-
 /// Replay a [`LoadProfile`] open-loop against a server with `shards`
 /// engine shards and report both the aggregate latency numbers and a
 /// per-tenant [`FairnessReport`].
@@ -237,25 +181,13 @@ pub fn open_loop(addr: &str, cfg: &LoadConfig) -> Result<RunReport, String> {
 /// pinning loads every shard with the same number of connections; the
 /// tenant mix rides on deterministic request-id attribution
 /// ([`LoadProfile::tenant_for`]) instead of on connection placement, so an
-/// uneven mix cannot skew per-shard batch statistics.
+/// uneven mix cannot skew per-shard batch statistics. Arrivals are
+/// per-connection exponential gaps thinned through the profile's phase
+/// histogram, with per-tenant latency recording.
 pub fn replay_profile(
     addr: &str,
     profile: &LoadProfile,
     shards: usize,
-    trace_sample: u64,
-) -> Result<(RunReport, FairnessReport), String> {
-    let label = format!("replay:{}", profile.name);
-    profile_run(addr, profile, shards, &label, trace_sample)
-}
-
-/// The shared open-loop driver behind [`open_loop`] and [`replay_profile`]:
-/// per-connection exponential arrivals thinned through the profile's phase
-/// histogram, with per-tenant latency recording.
-fn profile_run(
-    addr: &str,
-    profile: &LoadProfile,
-    shards: usize,
-    label: &str,
     trace_sample: u64,
 ) -> Result<(RunReport, FairnessReport), String> {
     profile.validate().map_err(|e| e.to_string())?;
@@ -428,7 +360,7 @@ fn profile_run(
     }
     let elapsed_s = (last_ns as f64 / 1e9).max(1e-9);
     let report = RunReport {
-        label: label.to_string(),
+        label: format!("replay:{}", profile.name),
         offered_qps: profile.qps,
         achieved_qps: ok as f64 / elapsed_s,
         sent,
@@ -464,132 +396,4 @@ fn profile_run(
         .collect();
     let fairness = FairnessReport::from_rows(profile.name.clone(), "serve", rows);
     Ok((report, fairness))
-}
-
-/// Saturate the server: each connection keeps `window` requests in flight
-/// for `secs` seconds. Reports capacity (achieved QPS) plus real
-/// per-request latency quantiles: each request is timestamped at send and
-/// matched to its in-order response (the protocol guarantees per-connection
-/// FIFO), so capacity cases report the same histogram fields as open-loop
-/// runs instead of zeros.
-pub fn closed_loop(
-    addr: &str,
-    window: usize,
-    conns: usize,
-    secs: f64,
-    seed: u64,
-    trace_sample: u64,
-) -> Result<RunReport, String> {
-    let dim = query_input_dim(addr)?; // before the load connections; see open_loop
-    let hist = Arc::new(LatencyHistogram::new());
-    let t0 = Instant::now();
-    let mut handles = Vec::new();
-    for c in 0..conns.max(1) {
-        let addr = addr.to_string();
-        let hist = Arc::clone(&hist);
-        // Ids restart at 0 on every connection, so decorrelate the trace
-        // ids with a per-connection seed offset.
-        let trace_seed = seed.wrapping_add((c as u64) << 32);
-        handles.push(std::thread::spawn(
-            move || -> Result<(u64, u64, u64, u64, u64), String> {
-                let stream =
-                    TcpStream::connect(&addr).map_err(|e| format!("connect {addr}: {e}"))?;
-                stream.set_nodelay(true).ok();
-                let mut writer = stream.try_clone().map_err(|e| e.to_string())?;
-                let mut reader = BufReader::new(stream);
-                let mut rng = StdRng::seed_from_u64(seed.wrapping_add(c as u64));
-                let pool = payload_pool(dim, &mut rng);
-
-                let mut batch = String::with_capacity(window * 96);
-                // (send ns, expected trace id) for in-flight requests;
-                // responses arrive in submission order per connection, so
-                // front-of-queue always matches the next response line.
-                let mut in_flight: std::collections::VecDeque<(u64, u64)> =
-                    std::collections::VecDeque::with_capacity(window.max(1));
-                let mut ok = 0u64;
-                let mut other = 0u64;
-                let mut traced = 0u64;
-                let mut trace_mismatch = 0u64;
-                let mut sent = 0u64;
-                let mut line = String::new();
-                while t0.elapsed().as_secs_f64() < secs {
-                    batch.clear();
-                    in_flight.clear();
-                    for _ in 0..window.max(1) {
-                        batch.push_str("{\"verb\":\"infer\",\"id\":");
-                        batch.push_str(&sent.to_string());
-                        batch.push_str(",\"features\":[");
-                        batch.push_str(&pool[sent as usize % pool.len()]);
-                        batch.push(']');
-                        let want = expected_trace(trace_sample, trace_seed, sent);
-                        if want != 0 {
-                            batch.push_str(",\"trace\":\"");
-                            batch.push_str(&hex16(want));
-                            batch.push('"');
-                        }
-                        batch.push_str("}\n");
-                        sent += 1;
-                        in_flight.push_back((t0.elapsed().as_nanos() as u64, want));
-                    }
-                    writer
-                        .write_all(batch.as_bytes())
-                        .map_err(|e| format!("send batch: {e}"))?;
-                    for _ in 0..window.max(1) {
-                        line.clear();
-                        if matches!(reader.read_line(&mut line), Ok(0) | Err(_)) {
-                            return Ok((sent, ok, other, traced, trace_mismatch));
-                        }
-                        let sent_rec = in_flight.pop_front();
-                        match protocol::parse_response(line.trim()) {
-                            Ok(Response::Decision { trace, .. }) => {
-                                let now_ns = t0.elapsed().as_nanos() as u64;
-                                if let Some((s, want)) = sent_rec {
-                                    hist.record(now_ns.saturating_sub(s));
-                                    if trace != want {
-                                        trace_mismatch += 1;
-                                    } else if want != 0 {
-                                        traced += 1;
-                                    }
-                                }
-                                ok += 1;
-                            }
-                            _ => other += 1,
-                        }
-                    }
-                }
-                Ok((sent, ok, other, traced, trace_mismatch))
-            },
-        ));
-    }
-
-    let mut sent = 0;
-    let mut ok = 0;
-    let mut other = 0;
-    let mut traced = 0;
-    let mut trace_mismatch = 0;
-    for h in handles {
-        let (s, o, e, t, m) = h.join().map_err(|_| "closed-loop thread panicked")??;
-        sent += s;
-        ok += o;
-        other += e;
-        traced += t;
-        trace_mismatch += m;
-    }
-    let elapsed_s = t0.elapsed().as_secs_f64().max(1e-9);
-    Ok(RunReport {
-        label: "closed_loop".into(),
-        offered_qps: 0.0,
-        achieved_qps: ok as f64 / elapsed_s,
-        sent,
-        ok,
-        overloaded: 0,
-        errors: other,
-        traced,
-        trace_mismatch,
-        elapsed_s,
-        mean_us: hist.mean() / 1_000.0,
-        p50_us: hist.quantile(0.50) as f64 / 1_000.0,
-        p95_us: hist.quantile(0.95) as f64 / 1_000.0,
-        p99_us: hist.quantile(0.99) as f64 / 1_000.0,
-    })
 }

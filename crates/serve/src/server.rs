@@ -54,8 +54,6 @@ pub struct ServeConfig {
     /// Engine shards (per-core inference threads); connections are routed
     /// to shards consistently by connection id.
     pub shards: usize,
-    /// Serve decisions through the int8-quantized forward path.
-    pub quantized: bool,
     /// Deadline applied to requests that don't carry their own.
     pub default_deadline_ms: Option<u64>,
     /// Socket read timeout; also the shutdown-flag polling period.
@@ -130,7 +128,6 @@ impl Default for ServeConfig {
             max_batch: 16,
             queue_capacity: 4096,
             shards: 1,
-            quantized: false,
             default_deadline_ms: None,
             read_timeout_ms: 25,
             allow_shutdown_verb: true,
@@ -489,7 +486,6 @@ pub fn serve_with<A: AcceptPolicy>(
             max_batch: cfg.max_batch,
             queue_capacity: cfg.queue_capacity,
             shards: cfg.shards.max(1),
-            quantized: cfg.quantized,
             model_generation: cfg.initial_model_generation,
             trace: tracing.recorder.clone(),
         },

@@ -1,6 +1,6 @@
-//! Sharded-engine integration tests: consistent routing, per-shard metric
-//! reconciliation against the global request ledger, and the quantized
-//! serving path's error budget — all over real TCP connections.
+//! Sharded-engine integration tests: consistent routing and per-shard
+//! metric reconciliation against the global request ledger — all over real
+//! TCP connections.
 
 use std::io::{BufRead, BufReader, Write};
 use std::net::TcpStream;
@@ -8,8 +8,7 @@ use std::net::TcpStream;
 use inspector::{FeatureBuilder, FeatureMode, Normalizer, SchedInspector};
 use obs::json::Json;
 use proptest::prelude::*;
-use rand::{RngExt, SeedableRng, StdRng};
-use rlcore::{BinaryPolicy, PolicyScratch};
+use rlcore::BinaryPolicy;
 use serve::protocol::{parse_response, Response};
 use serve::{serve, shard_for, ServeConfig};
 use simhpc::Metric;
@@ -113,66 +112,6 @@ fn shard_sums_reconcile_with_global_ledger_over_tcp() {
         Json::Array(items) => assert_eq!(items.len(), 4),
         other => panic!("shards should be an array, got {other:?}"),
     }
-}
-
-#[test]
-fn quantized_wire_decisions_track_f32_within_budget() {
-    let agent = inspector(77);
-    let dim = agent.input_dim();
-    let handle = serve(
-        agent.clone(),
-        ServeConfig {
-            workers: 2,
-            shards: 2,
-            quantized: true,
-            max_batch: 8,
-            ..ServeConfig::default()
-        },
-        obs::Telemetry::disabled(),
-    )
-    .expect("bind ephemeral port");
-
-    let mut stream = TcpStream::connect(handle.addr()).unwrap();
-    let mut reader = BufReader::new(stream.try_clone().unwrap());
-    let mut scratch = PolicyScratch::default();
-    let mut rng = StdRng::seed_from_u64(9);
-    let mut checked = 0;
-    for id in 0..200u64 {
-        let features: Vec<f32> = (0..dim).map(|_| rng.random_range(-1.0f32..1.0)).collect();
-        let expect = agent.decide(&features, &mut scratch);
-        stream
-            .write_all(infer_line(id, &features).as_bytes())
-            .unwrap();
-        let mut reply = String::new();
-        reader.read_line(&mut reply).unwrap();
-        match parse_response(reply.trim()).unwrap() {
-            Response::Decision {
-                id: got_id,
-                reject,
-                p_reject,
-                ..
-            } => {
-                assert_eq!(got_id, id);
-                assert!(
-                    (p_reject - expect.p_reject).abs() < 0.05,
-                    "id {id}: quantized p_reject {p_reject} vs f32 {}",
-                    expect.p_reject
-                );
-                // The binary decision may only flip inside the int8 error
-                // band around p == 0.5.
-                if (expect.p_reject - 0.5).abs() > 0.05 {
-                    assert_eq!(reject, expect.reject);
-                    checked += 1;
-                }
-            }
-            other => panic!("unexpected {other:?}"),
-        }
-    }
-    assert!(
-        checked > 0,
-        "at least some decisions away from the boundary"
-    );
-    handle.shutdown();
 }
 
 proptest! {

@@ -1,13 +1,11 @@
 //! Simulator configuration.
 
-use serde::{Deserialize, Serialize};
-
 /// Configuration of one simulation run.
 ///
 /// Defaults follow the paper's §4.1: rejected decisions are retried after at
 /// most `MAX_INTERVAL = 600 s`, and a job can be rejected at most
 /// `MAX_REJECTION_TIMES = 72` times (so a job is delayed at most ~12 h).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct SimConfig {
     /// Enable EASY backfilling while an accepted job waits for resources.
     pub backfill: bool,

@@ -1,12 +1,10 @@
 //! Job-execution performance metrics (§2.1, §4.4.3, §4.4.4).
 
-use serde::{Deserialize, Serialize};
-
 /// The "interactive threshold" of the bounded slowdown (10 seconds).
 pub const BSLD_THRESHOLD: f64 = 10.0;
 
 /// The job-execution metric a scheduler/inspector optimizes.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Metric {
     /// Average bounded job slowdown (`bsld`).
     Bsld,
@@ -41,7 +39,7 @@ impl std::str::FromStr for Metric {
 }
 
 /// Execution record of one finished job.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct JobOutcome {
     /// Job id.
     pub id: u64,
@@ -74,7 +72,7 @@ impl JobOutcome {
 }
 
 /// Result of simulating one job sequence.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct SimResult {
     /// Per-job outcomes, in completion order.
     pub outcomes: Vec<JobOutcome>,

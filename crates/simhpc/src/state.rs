@@ -1,10 +1,9 @@
 //! Scheduling-point observations: what the inspector gets to see.
 
-use serde::{Deserialize, Serialize};
 use workload::Job;
 
 /// A waiting job as visible at a scheduling point.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct QueueEntry {
     /// Job id.
     pub id: u64,
@@ -19,7 +18,7 @@ pub struct QueueEntry {
 /// Everything the inspector observes about one scheduling decision (§3.3's
 /// "Env. State"): the scheduled job, its rejection history, the waiting
 /// queue, and the cluster status. Feature vectors are built from this.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Observation {
     /// Current simulation time.
     pub now: f64,

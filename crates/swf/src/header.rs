@@ -1,13 +1,11 @@
 //! SWF header metadata extracted from `;`-comment lines.
 
-use serde::{Deserialize, Serialize};
-
 /// Metadata from SWF header comments (`; Key: Value`).
 ///
 /// Only the keys that matter for simulation are parsed into typed fields;
 /// every header line is also kept verbatim in [`SwfHeader::raw_lines`] so a
 /// trace can be written back without losing provenance comments.
-#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct SwfHeader {
     /// `Computer:` — free-text machine description.
     pub computer: Option<String>,

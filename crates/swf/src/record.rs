@@ -1,13 +1,11 @@
 //! The 18-field SWF job record.
 
-use serde::{Deserialize, Serialize};
-
 /// One job record: the 18 standard SWF fields.
 ///
 /// Field semantics follow the Parallel Workloads Archive definition. Values
 /// of `-1` mean "unknown/not collected" and are preserved verbatim so that
 /// traces round-trip exactly.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct SwfRecord {
     /// 1: job number, usually sequential from 1.
     pub job_id: u64,

@@ -26,6 +26,7 @@ use std::net::{Shutdown, TcpStream};
 use std::sync::{Arc, Mutex};
 use std::time::Duration;
 
+use obs::trace::mix64;
 use serve::{AcceptPolicy, Transport};
 
 /// SplitMix64: tiny, seedable, and stateless enough that per-connection
@@ -57,10 +58,7 @@ impl SplitMix64 {
     /// Next raw 64-bit value.
     pub fn next_u64(&mut self) -> u64 {
         self.0 = self.0.wrapping_add(0x9E37_79B9_7F4A_7C15);
-        let mut z = self.0;
-        z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-        z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-        z ^ (z >> 31)
+        mix64(self.0)
     }
 
     /// Uniform draw in `[0, 1)`.

@@ -1,9 +1,7 @@
 //! Activation functions.
 
-use serde::{Deserialize, Serialize};
-
 /// Element-wise activation applied after a dense layer.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Activation {
     /// Hyperbolic tangent (the paper's MLP uses saturating hidden units).
     Tanh,

@@ -1,11 +1,9 @@
 //! The Adam optimizer (Kingma & Ba, 2015).
 
-use serde::{Deserialize, Serialize};
-
 use crate::mlp::Mlp;
 
 /// Adam state for one network.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Adam {
     /// Learning rate (the paper trains with 1e-3, §4.1).
     pub lr: f32,

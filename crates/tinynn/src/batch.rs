@@ -97,14 +97,6 @@ impl BatchForwardScratch {
     pub fn dim(&self) -> usize {
         self.dim
     }
-
-    pub(crate) fn parts(&mut self) -> (&mut Vec<f32>, &mut Vec<f32>, usize, usize) {
-        (&mut self.x, &mut self.y, self.rows, self.dim)
-    }
-
-    pub(crate) fn set_dim(&mut self, dim: usize) {
-        self.dim = dim;
-    }
 }
 
 impl Mlp {
@@ -115,11 +107,15 @@ impl Mlp {
     /// bit-identical to `forward_scratch` on row `r` of the input (both use
     /// [`dot8`], so the summation order matches exactly).
     pub fn forward_batch<'s>(&self, scratch: &'s mut BatchForwardScratch) -> &'s [f32] {
-        let mut in_dim = scratch.dim();
-        debug_assert_eq!(in_dim, self.input_dim(), "batch width vs network input");
+        debug_assert_eq!(
+            scratch.dim,
+            self.input_dim(),
+            "batch width vs network input"
+        );
+        let BatchForwardScratch { x, y, rows, dim } = scratch;
+        let rows = *rows;
         for layer in self.layers() {
-            let out_dim = layer.fan_out;
-            let (x, y, rows, _) = scratch.parts();
+            let (in_dim, out_dim) = (*dim, layer.fan_out);
             y.clear();
             y.resize(rows * out_dim, 0.0);
             for block_start in (0..rows).step_by(ROW_BLOCK) {
@@ -134,11 +130,9 @@ impl Mlp {
                 }
             }
             std::mem::swap(x, y);
-            scratch.set_dim(out_dim);
-            in_dim = out_dim;
+            *dim = out_dim;
         }
-        let rows = scratch.rows();
-        &scratch.x[..rows * in_dim]
+        &x[..rows * *dim]
     }
 }
 

@@ -1,7 +1,6 @@
 //! Dense (fully connected) layers with manual backprop.
 
 use rand::{Rng, RngExt};
-use serde::{Deserialize, Serialize};
 
 use crate::activation::Activation;
 
@@ -9,7 +8,7 @@ use crate::activation::Activation;
 ///
 /// Weights are stored row-major: `w[o * fan_in + i]` connects input `i` to
 /// output `o`.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Dense {
     /// Input dimension.
     pub fan_in: usize,
@@ -22,10 +21,8 @@ pub struct Dense {
     /// Activation applied to the pre-activation.
     pub act: Activation,
     /// Accumulated weight gradients (same layout as `w`).
-    #[serde(skip)]
     pub gw: Vec<f32>,
     /// Accumulated bias gradients.
-    #[serde(skip)]
     pub gb: Vec<f32>,
 }
 

@@ -4,8 +4,8 @@
 //! ecosystem is thin and `tch-rs` is outside the allowed dependency set, so
 //! this crate implements exactly what the reproduction needs from scratch:
 //! dense layers with manual backprop, tanh/ReLU activations, softmax
-//! helpers, and Adam. Everything is deterministic under a seeded RNG and
-//! serializable with serde (trained models are persisted as weights).
+//! helpers, and Adam. Everything is deterministic under a seeded RNG, and
+//! trained models are persisted as weights in a plain-text format.
 //!
 //! ```
 //! use tinynn::{Activation, Adam, Mlp, Tape};
@@ -31,7 +31,6 @@ mod batch;
 mod layer;
 pub mod loss;
 mod mlp;
-mod quant;
 mod serialize;
 
 pub use activation::Activation;
@@ -39,4 +38,3 @@ pub use adam::Adam;
 pub use batch::{dot8, BatchForwardScratch};
 pub use layer::Dense;
 pub use mlp::{ForwardScratch, Mlp, Tape};
-pub use quant::{QuantScratch, QuantizedDense, QuantizedMlp};

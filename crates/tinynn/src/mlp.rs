@@ -1,7 +1,6 @@
 //! Multi-layer perceptrons with a training tape.
 
 use rand::Rng;
-use serde::{Deserialize, Serialize};
 
 use crate::activation::Activation;
 use crate::layer::Dense;
@@ -11,7 +10,7 @@ use crate::layer::Dense;
 /// The paper's inspector network is `Mlp::new(&[d, 32, 16, 8, 2], ...)`
 /// (§3.1): three hidden layers of 32/16/8 units and a two-logit output —
 /// 938 parameters for the 7-feature (no-backfilling) input.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Mlp {
     layers: Vec<Dense>,
 }

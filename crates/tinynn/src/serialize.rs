@@ -1,8 +1,8 @@
 //! Plain-text persistence for networks.
 //!
-//! The allowed dependency set contains `serde` but no serialization format
-//! crate, so trained models are persisted in a simple line-oriented text
-//! format that is diff-friendly and stable across platforms:
+//! The allowed dependency set contains no serialization format crate, so
+//! trained models are persisted in a simple line-oriented text format
+//! that is diff-friendly and stable across platforms:
 //!
 //! ```text
 //! tinynn-mlp v1

@@ -1,12 +1,11 @@
-//! Property tests: the fused batched forward is bit-exact against the
-//! scalar scratch path (shared `dot8` summation order), and the int8
-//! quantized path stays inside its error budget for arbitrary networks,
-//! batch sizes, and inputs.
+//! Property test: the fused batched forward is bit-exact against the
+//! scalar scratch path (shared `dot8` summation order) for arbitrary
+//! networks, batch sizes, and inputs.
 
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::{RngExt, SeedableRng};
-use tinynn::{Activation, BatchForwardScratch, ForwardScratch, Mlp, QuantScratch, QuantizedMlp};
+use tinynn::{Activation, BatchForwardScratch, ForwardScratch, Mlp};
 
 fn net_strategy() -> impl Strategy<Value = (Vec<usize>, u64)> {
     (prop::collection::vec(1usize..34, 2..5), any::<u64>())
@@ -52,40 +51,6 @@ proptest! {
             let got = &out[r * out_dim..(r + 1) * out_dim];
             for (g, w) in got.iter().zip(want) {
                 prop_assert_eq!(g.to_bits(), w.to_bits(), "row {} differs: {} vs {}", r, g, w);
-            }
-        }
-    }
-
-    #[test]
-    fn quantized_forward_within_epsilon(
-        (sizes, seed) in net_strategy(),
-        rows in 1usize..40,
-        input_seed in any::<u64>(),
-    ) {
-        let net = build_net(&sizes, seed);
-        let qnet = QuantizedMlp::quantize(&net);
-        let inputs = random_rows(sizes[0], rows, input_seed);
-        let mut batch = BatchForwardScratch::default();
-        let mut single = ForwardScratch::default();
-        let mut qs = QuantScratch::default();
-        batch.clear(sizes[0]);
-        for row in &inputs {
-            batch.push_row(row);
-        }
-        let out = qnet.forward_batch(&mut batch, &mut qs).to_vec();
-        let out_dim = *sizes.last().unwrap();
-        // Bound scales with depth/width: untrained random tanh nets with
-        // inputs in [-3, 3] keep logits O(1); two rounding steps per layer
-        // compound but stay far below this envelope.
-        let eps = 0.05 * sizes.len() as f32;
-        for (r, row) in inputs.iter().enumerate() {
-            let want = net.forward_scratch(row, &mut single);
-            let got = &out[r * out_dim..(r + 1) * out_dim];
-            for (g, w) in got.iter().zip(want) {
-                prop_assert!(
-                    (g - w).abs() < eps,
-                    "row {}: quantized {} vs f32 {} (eps {})", r, g, w, eps
-                );
             }
         }
     }

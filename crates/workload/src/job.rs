@@ -1,6 +1,5 @@
 //! The simulation-facing job model.
 
-use serde::{Deserialize, Serialize};
 use swf::SwfRecord;
 
 /// One batch job as seen by the scheduler and the simulator.
@@ -8,7 +7,7 @@ use swf::SwfRecord;
 /// Times are seconds (`f64`) relative to the trace origin. Following the
 /// paper (§3.2) the *actual* runtime drives completions while the
 /// *estimated* runtime drives scheduling decisions.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Job {
     /// Stable job identifier (unique within a trace).
     pub id: u64,

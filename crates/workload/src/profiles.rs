@@ -7,10 +7,8 @@
 //! mean requested processors). See `DESIGN.md` §5 for the substitution
 //! rationale.
 
-use serde::{Deserialize, Serialize};
-
 /// Everything needed to synthesize a Table 2 trace.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct TraceProfile {
     /// Trace name as used in the paper.
     pub name: &'static str,

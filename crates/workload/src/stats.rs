@@ -1,7 +1,5 @@
 //! Trace summary statistics — the columns of the paper's Table 2.
 
-use serde::{Deserialize, Serialize};
-
 use crate::trace::JobTrace;
 
 /// Summary statistics of a job trace.
@@ -9,7 +7,7 @@ use crate::trace::JobTrace;
 /// `cluster_size`, `mean_interval`, `mean_estimate`, and `mean_procs` are
 /// exactly the four columns the paper reports in Table 2 to argue trace
 /// diversity; the remaining fields support calibration and analysis.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct TraceStats {
     /// Number of jobs.
     pub n_jobs: usize,

@@ -1,6 +1,5 @@
 //! Job traces: ordered job collections bound to a machine size.
 
-use serde::{Deserialize, Serialize};
 use swf::{SwfHeader, SwfRecord, SwfTrace};
 
 use crate::job::Job;
@@ -8,7 +7,7 @@ use crate::stats::TraceStats;
 
 /// A job trace: the machine's processor count plus jobs sorted by submit
 /// time. This is the unit the simulator, trainer, and evaluator consume.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct JobTrace {
     /// Human-readable trace name (e.g. `"SDSC-SP2"`).
     pub name: String,

@@ -61,10 +61,19 @@ impl Args {
             .map(|(_, v)| v.as_str())
     }
 
+    /// `--key`'s parsed value, if the flag is present. A value that does
+    /// not parse is a usage error, not a silent fallback.
+    fn opt<T: std::str::FromStr>(&self, key: &str) -> Option<T> {
+        self.get(key).map(|v| {
+            v.parse().unwrap_or_else(|_| {
+                eprintln!("--{key}: invalid value {v:?}");
+                exit(2)
+            })
+        })
+    }
+
     fn num<T: std::str::FromStr>(&self, key: &str, default: T) -> T {
-        self.get(key)
-            .and_then(|v| v.parse().ok())
-            .unwrap_or(default)
+        self.opt(key).unwrap_or(default)
     }
 }
 
@@ -110,7 +119,6 @@ fn usage() -> ! {
          \x20          --model-dir DIR  serve the store's latest model and\n\
          \x20                         hot-swap each newly published generation\n\
          \x20          --shards N     (per-core engine shards, default 1)\n\
-         \x20          --quantized 1  (int8 fused inference path)\n\
          \x20          --queue N --deadline-ms N --telemetry FILE.jsonl\n\
          \x20          --metrics-addr HOST:PORT   (Prometheus exposition endpoint)\n\
          \x20          --trace-ring N --trace-slow-us N --trace-store DIR\n\
@@ -132,13 +140,10 @@ fn usage() -> ! {
          \x20          (inspect: manifest/segments/WAL/models + strict verify;\n\
          \x20           compact: merge segments, retire old model generations)\n\
          check-telemetry: --file FILE.jsonl   (validate a telemetry sidecar)\n\
-         report:   FILE.jsonl [FILE.jsonl ...] [--tolerance F]\n\
+         report:   FILE.jsonl [FILE.jsonl ...]\n\
          \x20          [--fairness FILE.json]  (render a fairness report)\n\
-         \x20          [--latency-tolerance F] [--bench-rollout FILE] [--bench-serve FILE]\n\
-         \x20          [--bench-train FILE]  (distributed scaling baseline)\n\
-         \x20          (per-epoch summaries, span wall-time breakdown, plus\n\
-         \x20           throughput and p99-latency regression checks vs the\n\
-         \x20           committed BENCH baselines; exits 1 on regression)"
+         \x20          (per-epoch summaries and span wall-time breakdown; exits 1\n\
+         \x20           when a sidecar is DEGRADED by malformed lines)"
     );
     exit(2)
 }
@@ -672,9 +677,8 @@ fn cmd_serve(args: &Args) {
         workers: args.num("workers", 4usize),
         max_batch: args.num("batch", 16usize),
         shards: args.num("shards", 1usize),
-        quantized: args.num("quantized", 0u8) != 0,
         queue_capacity: args.num("queue", 4096usize),
-        default_deadline_ms: args.get("deadline-ms").and_then(|v| v.parse().ok()),
+        default_deadline_ms: args.opt("deadline-ms"),
         model_dir: model_dir.map(String::from),
         initial_model_generation: initial_generation,
         trace: trace_config(args),
@@ -1152,31 +1156,6 @@ fn cmd_check_telemetry(args: &Args) {
     }
 }
 
-/// Load a BENCH_*.json baseline. An explicitly named file that fails to
-/// load is fatal; the conventional default is used only when present.
-fn load_bench_baseline(explicit: Option<&str>, default: &str) -> Option<obs::json::Json> {
-    let path = match explicit {
-        Some(p) => std::path::PathBuf::from(p),
-        None => {
-            let p = std::path::PathBuf::from(default);
-            if !p.exists() {
-                return None;
-            }
-            p
-        }
-    };
-    match obs::report::load_bench(&path) {
-        Ok(bench) => Some(bench),
-        Err(e) => {
-            eprintln!("cannot load bench baseline: {e}");
-            if explicit.is_some() {
-                exit(2)
-            }
-            None
-        }
-    }
-}
-
 fn cmd_report(args: &Args) {
     // A fairness artifact (from `scenario replay` or `loadgen
     // --fairness-out`) renders standalone; sidecars remain optional then.
@@ -1202,23 +1181,7 @@ fn cmd_report(args: &Args) {
         eprintln!("report: at least one telemetry sidecar (FILE.jsonl) is required");
         exit(2)
     }
-    let tolerance = args.num("tolerance", 0.5f64);
-    if !(0.0..1.0).contains(&tolerance) {
-        eprintln!("--tolerance must be in [0, 1), got {tolerance}");
-        exit(2)
-    }
-    // Tail latency is noisier than throughput, so its gate gets its own
-    // (more generous) knob: fail only when measured p99 exceeds the
-    // committed open-loop baseline by more than this fraction.
-    let latency_tolerance = args.num("latency-tolerance", 1.0f64);
-    if latency_tolerance < 0.0 {
-        eprintln!("--latency-tolerance must be >= 0, got {latency_tolerance}");
-        exit(2)
-    }
-    let bench_rollout = load_bench_baseline(args.get("bench-rollout"), "BENCH_rollout.json");
-    let bench_serve = load_bench_baseline(args.get("bench-serve"), "BENCH_serve.json");
-    let bench_train = load_bench_baseline(args.get("bench-train"), "BENCH_train.json");
-    let mut regressed = false;
+    let mut degraded = false;
     for path in &args.positional {
         // Lenient parsing: a truncated or partially corrupt sidecar (the
         // process died mid-write) still yields a summary, but malformed
@@ -1227,57 +1190,13 @@ fn cmd_report(args: &Args) {
             eprintln!("{e}");
             exit(2)
         });
-        if report.malformed_lines > 0 {
-            regressed = true;
-        }
+        degraded |= report.malformed_lines > 0;
         let mut out = String::new();
         report.render(&mut out);
         print!("{out}");
-        let checks = obs::report::throughput_checks(
-            &report,
-            bench_rollout.as_ref(),
-            bench_serve.as_ref(),
-            bench_train.as_ref(),
-            tolerance,
-        );
-        if checks.is_empty() {
-            println!("throughput: no measurement/baseline pair to check");
-        }
-        for check in checks {
-            let verdict = if check.regressed() {
-                regressed = true;
-                "REGRESSED"
-            } else {
-                "ok"
-            };
-            println!(
-                "throughput {:<8} {:.1}/s vs baseline {:.1}/s ({:.0}% of baseline, floor {:.0}%): {verdict}",
-                check.name,
-                check.measured,
-                check.baseline,
-                check.ratio() * 100.0,
-                (1.0 - check.tolerance) * 100.0,
-            );
-        }
-        for check in obs::report::latency_checks(&report, bench_serve.as_ref(), latency_tolerance) {
-            let verdict = if check.regressed() {
-                regressed = true;
-                "REGRESSED"
-            } else {
-                "ok"
-            };
-            println!(
-                "latency    {:<8} p99 {:.1}us vs baseline {:.1}us ({:.0}% of baseline, ceiling {:.0}%): {verdict}",
-                check.name,
-                check.measured,
-                check.baseline,
-                check.ratio() * 100.0,
-                (1.0 + check.tolerance) * 100.0,
-            );
-        }
         println!();
     }
-    if regressed {
+    if degraded {
         exit(1)
     }
 }

@@ -2,7 +2,7 @@
 //! service must both answer `GET /metrics` with well-formed Prometheus text
 //! containing at least one counter, gauge, and histogram family, and the
 //! sidecar written alongside training must survive the offline report
-//! engine (per-epoch summaries, span tree, throughput checks).
+//! engine (per-epoch summaries, span tree).
 //!
 //! This is the in-tree version of the CI smoke steps
 //! (`--metrics-addr` + `curl /metrics` + `schedinspector report`).
@@ -120,28 +120,13 @@ fn training_with_registry_exposes_metrics_and_report_analyzes_the_sidecar() {
     // The same sidecar drives the offline report engine.
     let report = obs::report::analyze_file(&path).expect("sidecar analyzes cleanly");
     assert_eq!(report.epochs.len(), config.epochs);
-    let eps = report.rollout_eps().expect("rollout throughput measured");
+    let eps = report
+        .mean_heartbeat_eps()
+        .expect("heartbeat throughput measured");
     assert!(eps > 0.0);
     let mut rendered = String::new();
     report.render(&mut rendered);
     assert!(rendered.contains("epoch"), "report renders an epoch table");
-
-    // Throughput regression semantics against a fabricated baseline.
-    let generous = obs::json::parse(&format!(
-        r#"{{"episodes_per_sec":[{{"workers":1,"optimized":{:.3}}}]}}"#,
-        eps / 10.0
-    ))
-    .unwrap();
-    let harsh = obs::json::parse(&format!(
-        r#"{{"episodes_per_sec":[{{"workers":1,"optimized":{:.3}}}]}}"#,
-        eps * 10.0
-    ))
-    .unwrap();
-    let ok = obs::report::throughput_checks(&report, Some(&generous), None, None, 0.5);
-    assert_eq!(ok.len(), 1);
-    assert!(!ok[0].regressed(), "10x slower baseline cannot regress");
-    let bad = obs::report::throughput_checks(&report, Some(&harsh), None, None, 0.5);
-    assert!(bad[0].regressed(), "10x faster baseline must regress");
 
     std::fs::remove_file(&path).ok();
 }
