@@ -40,7 +40,7 @@
 //! bits and is exact by construction.
 
 use inspector::EpisodeSummary;
-use obs::json::{escape_into, parse, Json};
+use obs::json::{escape_into, parse, write_f64, Json};
 use obs::trace::{hex16, parse_hex16};
 use rlcore::{Step, Trajectory, UpdateStats};
 use serve::Transport;
@@ -237,14 +237,6 @@ pub enum Message {
     },
 }
 
-fn f64_str(x: f64, out: &mut String) {
-    if x.is_finite() {
-        let _ = write!(out, "{x}");
-    } else {
-        out.push_str("null");
-    }
-}
-
 /// Append `msg` as one newline-terminated frame line.
 pub fn write_message(msg: &Message, out: &mut String) {
     match msg {
@@ -297,7 +289,7 @@ pub fn write_message(msg: &Message, out: &mut String) {
                 summary.rejections,
             );
             out.push_str(",\"reward\":");
-            f64_str(summary.trajectory.reward as f64, out);
+            write_f64(out, summary.trajectory.reward as f64);
             out.push_str(",\"steps\":[");
             for (i, s) in summary.trajectory.steps.iter().enumerate() {
                 if i > 0 {
@@ -308,10 +300,10 @@ pub fn write_message(msg: &Message, out: &mut String) {
                     if j > 0 {
                         out.push(',');
                     }
-                    f64_str(*x as f64, out);
+                    write_f64(out, *x as f64);
                 }
                 let _ = write!(out, "],{},", s.action);
-                f64_str(s.logp as f64, out);
+                write_f64(out, s.logp as f64);
                 out.push(']');
             }
             out.push_str("]}");
@@ -364,7 +356,7 @@ pub fn write_message(msg: &Message, out: &mut String) {
                     if i > 0 {
                         out.push(',');
                     }
-                    f64_str(*x as f64, out);
+                    write_f64(out, *x as f64);
                 }
                 let _ = write!(out, ",{}]", r.stats.pi_iters);
             }
@@ -389,9 +381,9 @@ fn write_summary_fields(
     rejections: u64,
 ) {
     let _ = write!(out, "\"index\":{index},\"base_metric\":");
-    f64_str(base_metric, out);
+    write_f64(out, base_metric);
     out.push_str(",\"inspected_metric\":");
-    f64_str(inspected_metric, out);
+    write_f64(out, inspected_metric);
     let _ = write!(
         out,
         ",\"inspections\":{inspections},\"rejections\":{rejections}"

@@ -1,9 +1,8 @@
 //! A lock-free HDR-style log-linear histogram.
 //!
-//! Moved here from `serve::stats` (which re-exports it as
-//! `LatencyHistogram` for compatibility) so the serve daemon's latency
-//! tracking and the live metrics [`Registry`](crate::registry::Registry)
-//! aggregate through the *same* structure: power-of-two octaves split into
+//! The serve daemon's latency tracking and the live metrics
+//! [`Registry`](crate::registry::Registry) aggregate through this *same*
+//! structure: power-of-two octaves split into
 //! [`SUB`] linear sub-buckets, bounding the relative quantile error at
 //! 12.5%. Recording is one relaxed increment per atomic; reads sweep a
 //! snapshot.

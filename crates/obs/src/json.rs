@@ -1,10 +1,10 @@
-//! A minimal JSON parser, used to *validate* telemetry JSONL output in
-//! tests and CI without pulling a serialization dependency into the
-//! workspace.
+//! A minimal JSON parser and writer, so sidecars, wire protocols and
+//! result files can be read and written without pulling a serialization
+//! dependency into the workspace. The telemetry schema itself lives in
+//! [`crate::event`]; this module only knows JSON.
 //!
 //! Supports the full JSON grammar except `\u` surrogate pairs (lone
-//! escapes decode to the replacement character). Not built for speed —
-//! it exists so a smoke run's sidecar file can be machine-checked.
+//! escapes decode to the replacement character). Not built for speed.
 
 use std::collections::BTreeMap;
 
@@ -66,21 +66,14 @@ impl Json {
         }
     }
 
-    /// Append this value as compact JSON to `out`. Non-finite numbers
-    /// encode as `null` (JSON has no NaN/Infinity), matching the telemetry
-    /// encoder; everything written here re-parses with [`parse`].
+    /// Append this value as compact JSON to `out` (numbers through
+    /// [`write_f64`]); everything written here re-parses with [`parse`].
     pub fn write_json(&self, out: &mut String) {
         match self {
             Json::Null => out.push_str("null"),
             Json::Bool(true) => out.push_str("true"),
             Json::Bool(false) => out.push_str("false"),
-            Json::Number(n) => {
-                if n.is_finite() {
-                    let _ = std::fmt::Write::write_fmt(out, format_args!("{n}"));
-                } else {
-                    out.push_str("null");
-                }
-            }
+            Json::Number(n) => write_f64(out, *n),
             Json::String(s) => escape_into(s, out),
             Json::Array(items) => {
                 out.push('[');
@@ -113,6 +106,19 @@ impl std::fmt::Display for Json {
         let mut s = String::new();
         self.write_json(&mut s);
         f.write_str(&s)
+    }
+}
+
+/// Append `x` as a JSON number: a finite value in Rust's shortest
+/// round-trip form, anything else as `null` (JSON has no NaN/Infinity).
+/// The one copy of that rule — the telemetry encoder, [`Json::write_json`]
+/// and the dist frame codec all write floats through it.
+#[inline]
+pub fn write_f64(out: &mut String, x: f64) {
+    if x.is_finite() {
+        let _ = std::fmt::Write::write_fmt(out, format_args!("{x}"));
+    } else {
+        out.push_str("null");
     }
 }
 
@@ -313,101 +319,6 @@ fn parse_object(b: &[u8], pos: &mut usize, depth: usize) -> Result<Json, String>
     }
 }
 
-/// Validate one telemetry JSONL line against the documented schema:
-/// an object with a known `kind`, a string `name`, a finite number `t`,
-/// and the kind's payload field. Returns the parsed object.
-pub fn validate_telemetry_line(line: &str) -> Result<Json, String> {
-    let v = parse(line)?;
-    let kind = v
-        .get("kind")
-        .and_then(Json::as_str)
-        .ok_or("missing string field \"kind\"")?
-        .to_string();
-    v.get("name")
-        .and_then(Json::as_str)
-        .ok_or("missing string field \"name\"")?;
-    let t = v
-        .get("t")
-        .and_then(Json::as_f64)
-        .ok_or("missing numeric field \"t\"")?;
-    if !t.is_finite() || t < 0.0 {
-        return Err(format!("timestamp {t} is not a finite non-negative number"));
-    }
-    let payload: &[&str] = match kind.as_str() {
-        "span_open" => &[],
-        "span_close" => &["dur"],
-        "counter" => &["delta"],
-        "gauge" | "histogram" => &["value"],
-        "heartbeat" => &["epoch", "eps"],
-        "registry_snapshot" => &["counters", "gauges", "histograms"],
-        "trace_promoted" => &["spans"],
-        "flight_record" => &["shard", "batch_seq", "generation", "start_ns", "end_ns"],
-        other => return Err(format!("unknown event kind {other:?}")),
-    };
-    for field in payload {
-        let present = matches!(
-            v.get(field),
-            Some(Json::Number(_)) | Some(Json::Null) // non-finite values encode as null
-        );
-        if !present {
-            return Err(format!("kind {kind:?} requires numeric field {field:?}"));
-        }
-    }
-    // Integer-valued fields must actually be non-negative integers.
-    let integral: &[&str] = match kind.as_str() {
-        "counter" => &["delta"],
-        "heartbeat" => &["epoch"],
-        "registry_snapshot" => &["counters", "gauges", "histograms"],
-        "trace_promoted" => &["spans"],
-        "flight_record" => &["shard", "batch_seq", "generation", "start_ns", "end_ns"],
-        _ => &[],
-    };
-    for field in integral {
-        if let Some(n) = v.get(field).and_then(Json::as_f64) {
-            if n < 0.0 || n.fract() != 0.0 {
-                return Err(format!(
-                    "kind {kind:?} field {field:?} must be a non-negative integer, got {n}"
-                ));
-            }
-        }
-    }
-    // Trace events carry 64-bit ids as 16-hex-digit strings; trace id 0
-    // is reserved (= unsampled) and must never appear on a span line.
-    let hex_ids: &[(&str, bool)] = match kind.as_str() {
-        // (field, zero_allowed)
-        "trace_promoted" => &[("trace", false)],
-        "flight_record" => &[("trace", false), ("span", false), ("parent", true)],
-        _ => &[],
-    };
-    for (field, zero_allowed) in hex_ids {
-        let raw = v
-            .get(field)
-            .and_then(Json::as_str)
-            .ok_or(format!("kind {kind:?} requires hex string field {field:?}"))?;
-        let id = crate::trace::parse_hex16(raw).ok_or(format!(
-            "kind {kind:?} field {field:?} is not a hex id: {raw:?}"
-        ))?;
-        if id == 0 && !zero_allowed {
-            return Err(format!(
-                "kind {kind:?} field {field:?} is 0 (reserved = unsampled)"
-            ));
-        }
-    }
-    if kind == "trace_promoted" {
-        v.get("reason")
-            .and_then(Json::as_str)
-            .ok_or("kind \"trace_promoted\" requires string field \"reason\"")?;
-    }
-    if kind == "flight_record" {
-        let status = v
-            .get("status")
-            .and_then(Json::as_str)
-            .ok_or("kind \"flight_record\" requires string field \"status\"")?;
-        crate::trace::SpanStatus::parse(status).ok_or(format!("unknown span status {status:?}"))?;
-    }
-    Ok(v)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -498,123 +409,5 @@ mod tests {
         let mut s = String::new();
         Json::Number(f64::INFINITY).write_json(&mut s);
         assert_eq!(s, "null");
-    }
-
-    #[test]
-    fn validates_event_lines() {
-        validate_telemetry_line(r#"{"kind":"counter","name":"x","t":0.5,"delta":2}"#)
-            .expect("valid counter");
-        validate_telemetry_line(r#"{"kind":"span_open","name":"epoch","t":0.0}"#)
-            .expect("valid span open");
-        assert!(validate_telemetry_line(r#"{"kind":"counter","name":"x","t":0.5}"#).is_err());
-        assert!(validate_telemetry_line(r#"{"kind":"bogus","name":"x","t":0.5}"#).is_err());
-        assert!(validate_telemetry_line(r#"{"name":"x","t":0.5}"#).is_err());
-        assert!(
-            validate_telemetry_line(r#"{"kind":"gauge","name":"x","t":-1,"value":1}"#).is_err()
-        );
-    }
-
-    #[test]
-    fn validates_heartbeat_and_registry_snapshot_lines() {
-        validate_telemetry_line(
-            r#"{"kind":"heartbeat","name":"train","t":1.0,"epoch":4,"eps":88.5}"#,
-        )
-        .expect("valid heartbeat");
-        validate_telemetry_line(
-            r#"{"kind":"registry_snapshot","name":"metrics_exporter","t":2.0,"counters":5,"gauges":3,"histograms":2}"#,
-        )
-        .expect("valid snapshot");
-        // Missing payload fields.
-        assert!(validate_telemetry_line(
-            r#"{"kind":"heartbeat","name":"train","t":1.0,"epoch":4}"#
-        )
-        .is_err());
-        assert!(validate_telemetry_line(
-            r#"{"kind":"registry_snapshot","name":"m","t":2.0,"counters":5,"gauges":3}"#
-        )
-        .is_err());
-        // Integer fields reject fractional or negative values.
-        assert!(validate_telemetry_line(
-            r#"{"kind":"heartbeat","name":"train","t":1.0,"epoch":4.5,"eps":1.0}"#
-        )
-        .is_err());
-        assert!(validate_telemetry_line(
-            r#"{"kind":"registry_snapshot","name":"m","t":2.0,"counters":-1,"gauges":0,"histograms":0}"#
-        )
-        .is_err());
-    }
-
-    #[test]
-    fn validates_trace_event_lines_and_rejects_zero_trace_ids() {
-        validate_telemetry_line(
-            r#"{"kind":"trace_promoted","name":"serve.trace","t":0.5,"trace":"00000000000000ff","reason":"slow","spans":5}"#,
-        )
-        .expect("valid trace_promoted");
-        validate_telemetry_line(
-            r#"{"kind":"flight_record","name":"queue","t":0.5,"trace":"00000000000000ff","span":"0000000000000001","parent":"0000000000000000","status":"ok","shard":1,"batch_seq":3,"generation":2,"start_ns":10,"end_ns":20}"#,
-        )
-        .expect("valid flight_record");
-        // Trace id 0 is reserved (= unsampled): reject on both kinds.
-        assert!(validate_telemetry_line(
-            r#"{"kind":"trace_promoted","name":"serve.trace","t":0.5,"trace":"0000000000000000","reason":"slow","spans":5}"#,
-        )
-        .is_err());
-        assert!(validate_telemetry_line(
-            r#"{"kind":"flight_record","name":"queue","t":0.5,"trace":"0000000000000000","span":"0000000000000001","parent":"0000000000000000","status":"ok","shard":1,"batch_seq":3,"generation":2,"start_ns":10,"end_ns":20}"#,
-        )
-        .is_err());
-        // Span id 0 is equally invalid; parent 0 (root) is fine.
-        assert!(validate_telemetry_line(
-            r#"{"kind":"flight_record","name":"queue","t":0.5,"trace":"00000000000000ff","span":"0000000000000000","parent":"0000000000000000","status":"ok","shard":1,"batch_seq":3,"generation":2,"start_ns":10,"end_ns":20}"#,
-        )
-        .is_err());
-        // Non-hex trace id, missing reason, unknown status.
-        assert!(validate_telemetry_line(
-            r#"{"kind":"trace_promoted","name":"serve.trace","t":0.5,"trace":"zz","reason":"slow","spans":5}"#,
-        )
-        .is_err());
-        assert!(validate_telemetry_line(
-            r#"{"kind":"trace_promoted","name":"serve.trace","t":0.5,"trace":"00000000000000ff","spans":5}"#,
-        )
-        .is_err());
-        assert!(validate_telemetry_line(
-            r#"{"kind":"flight_record","name":"queue","t":0.5,"trace":"00000000000000ff","span":"0000000000000001","parent":"0000000000000000","status":"exploded","shard":1,"batch_seq":3,"generation":2,"start_ns":10,"end_ns":20}"#,
-        )
-        .is_err());
-    }
-
-    #[test]
-    fn every_event_kind_round_trips_through_the_validator() {
-        use crate::Event;
-        let events = [
-            Event::SpanOpen { name: "s", t: 0.0 },
-            Event::SpanClose {
-                name: "s",
-                t: 1.0,
-                dur: 1.0,
-            },
-            Event::Counter {
-                name: "c",
-                t: 1.5,
-                delta: 7,
-            },
-            Event::Gauge {
-                name: "g",
-                t: 2.0,
-                value: -0.25,
-            },
-            Event::Histogram {
-                name: "h",
-                t: 2.5,
-                value: 1e9,
-            },
-        ];
-        for e in &events {
-            let mut line = String::new();
-            e.write_json(&mut line);
-            let v = validate_telemetry_line(&line).expect("event encodes to valid line");
-            assert_eq!(v.get("kind").and_then(Json::as_str), Some(e.kind()));
-            assert_eq!(v.get("name").and_then(Json::as_str), Some(e.name()));
-        }
     }
 }

@@ -36,7 +36,7 @@
 
 pub mod clock;
 mod error;
-mod event;
+pub mod event;
 pub mod exporter;
 pub mod expose;
 pub mod hist;
@@ -283,17 +283,8 @@ impl Telemetry {
     pub fn flight_record(&self, rec: &trace::SpanRecord) {
         if self.is_enabled() {
             self.record(Event::FlightRecord {
-                name: rec.kind.as_str(),
                 t: self.event_t(),
-                trace: rec.trace_id,
-                span: rec.span_id,
-                parent: rec.parent_id,
-                status: rec.status.as_str(),
-                shard: rec.shard as u64,
-                batch_seq: rec.batch_seq,
-                generation: rec.model_generation,
-                start_ns: rec.start_ns,
-                end_ns: rec.end_ns,
+                span: *rec,
             });
         }
     }

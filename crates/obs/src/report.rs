@@ -10,240 +10,16 @@
 //!    total/self time per span path, tolerant of unpaired opens/closes
 //!    (truncated runs, crashed workers).
 //!
-//! Parse errors name the offending file and line number. This is a
-//! renderer, not a regression gate: performance is compared by
-//! `spine compare` (see `crates/spine/README.md`).
+//! Sidecars are read through [`crate::event::read_file`]; lines that fail
+//! to decode are skipped, counted and named by file and line number. This
+//! is a renderer, not a regression gate: performance is compared by `spine
+//! compare` (see `crates/spine/README.md`).
 
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
 use std::path::Path;
 
-use crate::json::{self, Json};
-
-/// One parsed sidecar event (owned names, unlike the recording-side
-/// [`Event`](crate::Event) whose names are `&'static str`).
-#[derive(Debug, Clone, PartialEq)]
-pub enum ReportEvent {
-    /// `span_open`
-    SpanOpen {
-        /// Span name.
-        name: String,
-        /// Seconds since run start.
-        t: f64,
-    },
-    /// `span_close`
-    SpanClose {
-        /// Span name.
-        name: String,
-        /// Seconds since run start.
-        t: f64,
-        /// Span duration in seconds.
-        dur: f64,
-    },
-    /// `counter`
-    Counter {
-        /// Counter name.
-        name: String,
-        /// Seconds since run start.
-        t: f64,
-        /// Amount added.
-        delta: u64,
-    },
-    /// `gauge`
-    Gauge {
-        /// Gauge name.
-        name: String,
-        /// Seconds since run start.
-        t: f64,
-        /// Observed value (NaN when the sidecar recorded `null`).
-        value: f64,
-    },
-    /// `histogram`
-    Histogram {
-        /// Distribution name.
-        name: String,
-        /// Seconds since run start.
-        t: f64,
-        /// Sampled value (NaN when the sidecar recorded `null`).
-        value: f64,
-    },
-    /// `heartbeat`
-    Heartbeat {
-        /// Source name (`train`, `selector`).
-        name: String,
-        /// Seconds since run start.
-        t: f64,
-        /// Epoch index just completed.
-        epoch: u64,
-        /// Episodes per second over that epoch.
-        eps: f64,
-    },
-    /// `registry_snapshot` (payload not used by the analyzer).
-    RegistrySnapshot {
-        /// Source name.
-        name: String,
-        /// Seconds since run start.
-        t: f64,
-    },
-    /// `trace_promoted` — a tail-sampled trace was kept.
-    TracePromoted {
-        /// Promotion source name.
-        name: String,
-        /// Seconds since run start.
-        t: f64,
-        /// Promoted trace id.
-        trace: u64,
-        /// Promotion reason (`slow` / `error` / `swap`).
-        reason: String,
-        /// Spans collected for the trace.
-        spans: u64,
-    },
-    /// `flight_record` — one promoted span (payload beyond the trace id
-    /// is not aggregated here; `schedinspector trace` reconstructs it).
-    FlightRecord {
-        /// Span kind name.
-        name: String,
-        /// Seconds since run start.
-        t: f64,
-        /// Trace id the span belongs to.
-        trace: u64,
-    },
-}
-
-impl ReportEvent {
-    fn t(&self) -> f64 {
-        match self {
-            ReportEvent::SpanOpen { t, .. }
-            | ReportEvent::SpanClose { t, .. }
-            | ReportEvent::Counter { t, .. }
-            | ReportEvent::Gauge { t, .. }
-            | ReportEvent::Histogram { t, .. }
-            | ReportEvent::Heartbeat { t, .. }
-            | ReportEvent::RegistrySnapshot { t, .. }
-            | ReportEvent::TracePromoted { t, .. }
-            | ReportEvent::FlightRecord { t, .. } => *t,
-        }
-    }
-}
-
-fn field_f64(v: &Json, field: &str) -> f64 {
-    match v.get(field) {
-        Some(Json::Number(n)) => *n,
-        _ => f64::NAN, // non-finite values encode as null
-    }
-}
-
-fn field_u64(v: &Json, field: &str) -> u64 {
-    v.get(field).and_then(Json::as_f64).unwrap_or(0.0) as u64
-}
-
-/// Parse one sidecar line into a [`ReportEvent`] (schema-validating it
-/// first).
-pub fn parse_line(line: &str) -> Result<ReportEvent, String> {
-    let v = json::validate_telemetry_line(line)?;
-    let kind = v
-        .get("kind")
-        .and_then(Json::as_str)
-        .unwrap_or("")
-        .to_string();
-    let name = v
-        .get("name")
-        .and_then(Json::as_str)
-        .unwrap_or("")
-        .to_string();
-    let t = field_f64(&v, "t");
-    Ok(match kind.as_str() {
-        "span_open" => ReportEvent::SpanOpen { name, t },
-        "span_close" => ReportEvent::SpanClose {
-            name,
-            t,
-            dur: field_f64(&v, "dur"),
-        },
-        "counter" => ReportEvent::Counter {
-            name,
-            t,
-            delta: field_u64(&v, "delta"),
-        },
-        "gauge" => ReportEvent::Gauge {
-            name,
-            t,
-            value: field_f64(&v, "value"),
-        },
-        "histogram" => ReportEvent::Histogram {
-            name,
-            t,
-            value: field_f64(&v, "value"),
-        },
-        "heartbeat" => ReportEvent::Heartbeat {
-            name,
-            t,
-            epoch: field_u64(&v, "epoch"),
-            eps: field_f64(&v, "eps"),
-        },
-        "registry_snapshot" => ReportEvent::RegistrySnapshot { name, t },
-        // Ids are validated 16-hex strings (validate_telemetry_line).
-        "trace_promoted" => ReportEvent::TracePromoted {
-            name,
-            t,
-            trace: field_hex(&v, "trace"),
-            reason: v
-                .get("reason")
-                .and_then(Json::as_str)
-                .unwrap_or("")
-                .to_string(),
-            spans: field_u64(&v, "spans"),
-        },
-        "flight_record" => ReportEvent::FlightRecord {
-            name,
-            t,
-            trace: field_hex(&v, "trace"),
-        },
-        other => return Err(format!("unknown event kind {other:?}")),
-    })
-}
-
-fn field_hex(v: &Json, field: &str) -> u64 {
-    v.get(field)
-        .and_then(Json::as_str)
-        .and_then(crate::trace::parse_hex16)
-        .unwrap_or(0)
-}
-
-/// Parse a whole sidecar file. Errors are `"path:line: message"`.
-pub fn parse_sidecar(path: &Path) -> Result<Vec<ReportEvent>, String> {
-    let text = std::fs::read_to_string(path).map_err(|e| format!("{}: {e}", path.display()))?;
-    let mut events = Vec::new();
-    for (i, line) in text.lines().enumerate() {
-        if line.trim().is_empty() {
-            continue;
-        }
-        events.push(parse_line(line).map_err(|e| format!("{}:{}: {e}", path.display(), i + 1))?);
-    }
-    Ok(events)
-}
-
-/// Parse a sidecar file, skipping malformed lines instead of failing.
-///
-/// A crashed or killed run leaves a sidecar whose final line is torn
-/// mid-JSON; a newer writer may emit event kinds this analyzer does not
-/// know. Neither should make the whole report unreadable. Every line that
-/// fails to parse becomes a `"path:line: message"` warning; only an
-/// unreadable *file* is an error.
-pub fn parse_sidecar_lenient(path: &Path) -> Result<(Vec<ReportEvent>, Vec<String>), String> {
-    let text = std::fs::read_to_string(path).map_err(|e| format!("{}: {e}", path.display()))?;
-    let mut events = Vec::new();
-    let mut malformed = Vec::new();
-    for (i, line) in text.lines().enumerate() {
-        if line.trim().is_empty() {
-            continue;
-        }
-        match parse_line(line) {
-            Ok(event) => events.push(event),
-            Err(e) => malformed.push(format!("{}:{}: {e}", path.display(), i + 1)),
-        }
-    }
-    Ok((events, malformed))
-}
+use crate::event::{self, Event};
 
 /// One node of the aggregated span tree. The same span name reached
 /// through different parents aggregates separately (it is a *path* tree).
@@ -281,12 +57,12 @@ impl SpanNode {
 /// spans implicitly close them (attributing time up to the closing
 /// event); spans still open at end-of-stream are closed at the last
 /// event's timestamp, with a warning each.
-pub fn aggregate_spans(events: &[ReportEvent]) -> (SpanNode, Vec<String>) {
+pub fn aggregate_spans(events: &[Event<String>]) -> (SpanNode, Vec<String>) {
     let mut root = SpanNode::default();
     let mut warnings = Vec::new();
     // Stack of (name, open_t).
     let mut stack: Vec<(String, f64)> = Vec::new();
-    let last_t = events.last().map_or(0.0, ReportEvent::t);
+    let last_t = events.last().map_or(0.0, Event::t);
 
     let close_top = |root: &mut SpanNode, stack: &mut Vec<(String, f64)>, dur: f64| {
         let path: Vec<String> = stack.iter().map(|(n, _)| n.clone()).collect();
@@ -298,8 +74,8 @@ pub fn aggregate_spans(events: &[ReportEvent]) -> (SpanNode, Vec<String>) {
 
     for event in events {
         match event {
-            ReportEvent::SpanOpen { name, t } => stack.push((name.clone(), *t)),
-            ReportEvent::SpanClose { name, t, dur } => {
+            Event::SpanOpen { name, t } => stack.push((name.clone(), *t)),
+            Event::SpanClose { name, t, dur } => {
                 match stack.iter().rposition(|(n, _)| n == name) {
                     None => {
                         warnings.push(format!(
@@ -367,8 +143,8 @@ pub struct SidecarReport {
     pub events: usize,
     /// Timestamp of the last event (run wall time in seconds).
     pub wall: f64,
-    /// Sidecar lines that failed to parse and were skipped (only nonzero
-    /// for lenient analysis; each also appears in `warnings`). A report
+    /// Sidecar lines that failed to decode and were skipped (set by
+    /// [`analyze_file`]; each also appears in `warnings`). A report
     /// consumer should treat a nonzero count as a degraded — not clean —
     /// run.
     pub malformed_lines: usize,
@@ -377,7 +153,7 @@ pub struct SidecarReport {
 }
 
 /// Analyze a parsed event stream.
-pub fn analyze(events: &[ReportEvent]) -> SidecarReport {
+pub fn analyze(events: &[Event<String>]) -> SidecarReport {
     let (spans, mut warnings) = aggregate_spans(events);
     let mut epochs = Vec::new();
     let mut promoted_traces = Vec::new();
@@ -393,24 +169,24 @@ pub fn analyze(events: &[ReportEvent]) -> SidecarReport {
 
     for event in events {
         match event {
-            ReportEvent::Counter { name, delta, .. } => {
+            Event::Counter { name, delta, .. } => {
                 *counter_totals.entry(name.clone()).or_insert(0) += delta;
                 *cur_counters.entry(name.clone()).or_insert(0) += delta;
             }
-            ReportEvent::Gauge { name, value, .. } => {
+            Event::Gauge { name, value, .. } => {
                 cur_gauges.insert(name.clone(), *value);
             }
-            ReportEvent::Heartbeat {
+            Event::Heartbeat {
                 name, epoch, eps, ..
             } => {
                 heartbeat_eps.entry(name.clone()).or_default().push(*eps);
                 cur_eps = Some(*eps);
                 cur_index = Some(*epoch);
             }
-            ReportEvent::TracePromoted { trace, reason, .. } => {
+            Event::TracePromoted { trace, reason, .. } => {
                 promoted_traces.push((*trace, reason.clone()));
             }
-            ReportEvent::SpanClose { name, dur, .. } if name == "epoch" => {
+            Event::SpanClose { name, dur, .. } if name == "epoch" => {
                 epochs.push(EpochSummary {
                     index: cur_index.unwrap_or(epochs.len() as u64),
                     dur: *dur,
@@ -443,22 +219,17 @@ pub fn analyze(events: &[ReportEvent]) -> SidecarReport {
         heartbeat_eps,
         promoted_traces,
         events: events.len(),
-        wall: events.last().map_or(0.0, ReportEvent::t),
+        wall: events.last().map_or(0.0, Event::t),
         malformed_lines: 0,
         warnings,
     }
 }
 
-/// Parse and analyze a sidecar file. Errors name the file and line.
-pub fn analyze_file(path: &Path) -> Result<SidecarReport, String> {
-    Ok(analyze(&parse_sidecar(path)?))
-}
-
-/// Parse and analyze a sidecar file leniently: malformed lines are
+/// Read and analyze a sidecar file. Lines that fail to decode are
 /// skipped, counted in [`SidecarReport::malformed_lines`], and reported as
-/// warnings. Only an unreadable file is an error.
-pub fn analyze_file_lenient(path: &Path) -> Result<SidecarReport, String> {
-    let (events, malformed) = parse_sidecar_lenient(path)?;
+/// warnings; only an unreadable file is an error.
+pub fn analyze_file(path: &Path) -> Result<SidecarReport, String> {
+    let (events, malformed) = event::read_file(path)?;
     let mut report = analyze(&events);
     report.malformed_lines = malformed.len();
     // Malformed-line warnings go first: they explain any oddities the
@@ -620,28 +391,28 @@ impl SidecarReport {
 mod tests {
     use super::*;
 
-    fn open(name: &str, t: f64) -> ReportEvent {
-        ReportEvent::SpanOpen {
+    fn open(name: &str, t: f64) -> Event<String> {
+        Event::SpanOpen {
             name: name.into(),
             t,
         }
     }
-    fn close(name: &str, t: f64, dur: f64) -> ReportEvent {
-        ReportEvent::SpanClose {
+    fn close(name: &str, t: f64, dur: f64) -> Event<String> {
+        Event::SpanClose {
             name: name.into(),
             t,
             dur,
         }
     }
-    fn count(name: &str, t: f64, delta: u64) -> ReportEvent {
-        ReportEvent::Counter {
+    fn count(name: &str, t: f64, delta: u64) -> Event<String> {
+        Event::Counter {
             name: name.into(),
             t,
             delta,
         }
     }
-    fn gauge(name: &str, t: f64, value: f64) -> ReportEvent {
-        ReportEvent::Gauge {
+    fn gauge(name: &str, t: f64, value: f64) -> Event<String> {
+        Event::Gauge {
             name: name.into(),
             t,
             value,
@@ -701,7 +472,7 @@ mod tests {
             count("train.episodes", 0.5, 20),
             gauge("epoch.mean_reward", 0.9, 1.25),
             gauge("ppo.kl", 0.95, 0.01),
-            ReportEvent::Heartbeat {
+            Event::Heartbeat {
                 name: "train".into(),
                 t: 1.0,
                 epoch: 0,
@@ -711,7 +482,7 @@ mod tests {
             open("epoch", 1.0),
             count("train.episodes", 1.5, 22),
             gauge("epoch.mean_reward", 1.9, 1.5),
-            ReportEvent::Heartbeat {
+            Event::Heartbeat {
                 name: "train".into(),
                 t: 2.0,
                 epoch: 1,
@@ -735,31 +506,14 @@ mod tests {
     }
 
     #[test]
-    fn parse_line_handles_every_kind_and_rejects_garbage() {
-        let ev = parse_line(r#"{"kind":"heartbeat","name":"train","t":1.0,"epoch":2,"eps":10.5}"#)
-            .unwrap();
-        assert_eq!(
-            ev,
-            ReportEvent::Heartbeat {
-                name: "train".into(),
-                t: 1.0,
-                epoch: 2,
-                eps: 10.5
-            }
-        );
-        assert!(parse_line("not json").is_err());
-        assert!(parse_line(r#"{"kind":"mystery","name":"x","t":0}"#).is_err());
-    }
-
-    #[test]
     fn trace_events_parse_and_surface_in_telemetry_health() {
-        let promoted = parse_line(
+        let promoted = event::decode(
             r#"{"kind":"trace_promoted","name":"serve.trace","t":1.0,"trace":"00000000000000ab","reason":"slow","spans":5}"#,
         )
         .unwrap();
         assert_eq!(
             promoted,
-            ReportEvent::TracePromoted {
+            Event::TracePromoted {
                 name: "serve.trace".into(),
                 t: 1.0,
                 trace: 0xab,
@@ -767,13 +521,13 @@ mod tests {
                 spans: 5
             }
         );
-        let record = parse_line(
+        let record = event::decode(
             r#"{"kind":"flight_record","name":"queue","t":1.1,"trace":"00000000000000ab","span":"0000000000000002","parent":"0000000000000000","status":"ok","shard":0,"batch_seq":1,"generation":1,"start_ns":5,"end_ns":9}"#,
         )
         .unwrap();
         assert!(matches!(
             record,
-            ReportEvent::FlightRecord { trace: 0xab, .. }
+            Event::FlightRecord { span, .. } if span.trace_id == 0xab
         ));
 
         let events = [
@@ -820,8 +574,11 @@ mod tests {
             "{\"kind\":\"counter\",\"name\":\"a\",\"t\":0.1,\"delta\":1}\nBROKEN LINE\n",
         )
         .unwrap();
-        let err = parse_sidecar(&path).expect_err("parse fails");
-        assert!(err.contains("bad.jsonl:2:"), "{err}");
+        let report = analyze_file(&path).expect("file is readable");
+        assert_eq!((report.events, report.malformed_lines), (1, 1));
+        assert!(report.warnings[0].contains("bad.jsonl:2:"), "{report:?}");
+        let err = analyze_file(&dir.join("absent.jsonl")).expect_err("unreadable file");
+        assert!(err.contains("absent.jsonl"), "{err}");
         let _ = std::fs::remove_file(&path);
     }
 }

@@ -376,7 +376,7 @@ mod tests {
         let lines: Vec<&str> = text.lines().collect();
         assert_eq!(lines.len(), 2);
         for line in lines {
-            crate::json::validate_telemetry_line(line).expect("valid telemetry line");
+            crate::event::decode(line).expect("valid telemetry line");
         }
     }
 }

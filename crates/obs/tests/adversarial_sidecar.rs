@@ -1,12 +1,14 @@
-//! Adversarial-sidecar coverage for `obs::report`: real runs die mid-write
-//! (torn final line), workers crash with spans open (out-of-order closes),
-//! and newer writers emit event kinds this analyzer has never seen. The
-//! report must degrade to a warned, `DEGRADED`-marked summary — never
-//! panic, never throw the whole file away.
+//! Adversarial-sidecar coverage for `obs::event::read_file` and
+//! `obs::report`: real runs die mid-write (torn final line), workers crash
+//! with spans open (out-of-order closes), and newer writers emit event
+//! kinds this analyzer has never seen. The report must degrade to a
+//! warned, `DEGRADED`-marked summary — never panic, never throw the whole
+//! file away.
 
 use std::path::PathBuf;
 
-use obs::report::{self, ReportEvent};
+use obs::event;
+use obs::report;
 
 fn write_sidecar(name: &str, contents: &str) -> PathBuf {
     let dir = std::env::temp_dir().join(format!("obs-adversarial-{}-{name}", std::process::id()));
@@ -28,11 +30,13 @@ fn truncated_final_line_degrades_gracefully() {
             "{\"kind\":\"counter\",\"name\":\"train.epis",
         ),
     );
-    // Strict parsing refuses the file outright…
-    let err = report::parse_sidecar(&path).expect_err("strict parse fails");
-    assert!(err.contains(":4:"), "{err}");
-    // …lenient analysis keeps everything before the torn line.
-    let r = report::analyze_file_lenient(&path).expect("lenient analysis succeeds");
+    // The reader names the torn line…
+    let (events, malformed) = event::read_file(&path).expect("file is readable");
+    assert_eq!(events.len(), 3);
+    assert_eq!(malformed.len(), 1);
+    assert!(malformed[0].contains(":4:"), "{malformed:?}");
+    // …and the analysis keeps everything before it.
+    let r = report::analyze_file(&path).expect("analysis succeeds");
     assert_eq!(r.malformed_lines, 1);
     assert_eq!(r.events, 3);
     assert_eq!(r.epochs.len(), 1);
@@ -62,7 +66,7 @@ fn out_of_order_span_close_warns_but_aggregates() {
             "{\"kind\":\"span_close\",\"name\":\"ghost\",\"t\":2.5,\"dur\":0.5}\n",
         ),
     );
-    let r = report::analyze_file_lenient(&path).expect("analysis succeeds");
+    let r = report::analyze_file(&path).expect("analysis succeeds");
     assert_eq!(r.malformed_lines, 0);
     // rollout was implicitly closed by the epoch close; ghost was skipped.
     let epoch = &r.spans.children["epoch"];
@@ -92,7 +96,7 @@ fn unknown_event_kinds_are_skipped_with_warnings() {
             "{\"kind\":\"counter\",\"name\":\"a\",\"t\":0.3,\"delta\":2}\n",
         ),
     );
-    let r = report::analyze_file_lenient(&path).expect("analysis succeeds");
+    let r = report::analyze_file(&path).expect("analysis succeeds");
     assert_eq!(r.malformed_lines, 1);
     assert_eq!(r.counter_totals["a"], 3);
     assert!(
@@ -109,7 +113,7 @@ fn pure_garbage_sidecar_yields_empty_degraded_report_not_panic() {
         "garbage",
         "\u{0}\u{1}binary junk\nnot json at all\n{\"half\": \n[[[[[[\n",
     );
-    let r = report::analyze_file_lenient(&path).expect("analysis succeeds");
+    let r = report::analyze_file(&path).expect("analysis succeeds");
     assert_eq!(r.events, 0);
     assert_eq!(r.malformed_lines, 4);
     assert!(r.epochs.is_empty());
@@ -127,7 +131,7 @@ fn deeply_nested_junk_line_is_rejected_without_stack_overflow() {
     deep.push_str(&"[".repeat(100_000));
     deep.push('\n');
     let path = write_sidecar("deep", &deep);
-    let r = report::analyze_file_lenient(&path).expect("analysis succeeds");
+    let r = report::analyze_file(&path).expect("analysis succeeds");
     assert_eq!(r.events, 1);
     assert_eq!(r.malformed_lines, 1);
     let _ = std::fs::remove_file(&path);
@@ -143,11 +147,17 @@ fn lenient_and_strict_agree_on_clean_sidecars() {
             "{\"kind\":\"span_close\",\"name\":\"epoch\",\"t\":1.0,\"dur\":1.0}\n",
         ),
     );
-    let strict: Vec<ReportEvent> = report::parse_sidecar(&path).expect("strict parses");
-    let (lenient, malformed) = report::parse_sidecar_lenient(&path).expect("lenient parses");
-    assert_eq!(strict, lenient);
+    // Every line decodes on its own to what the file reader returns: on
+    // clean input, skipping bad lines and refusing them are the same.
+    let strict: Vec<_> = std::fs::read_to_string(&path)
+        .unwrap()
+        .lines()
+        .map(|line| event::decode(line).expect("clean line decodes"))
+        .collect();
+    let (events, malformed) = event::read_file(&path).expect("file is readable");
+    assert_eq!(strict, events);
     assert!(malformed.is_empty());
-    let r = report::analyze_file_lenient(&path).unwrap();
+    let r = report::analyze_file(&path).unwrap();
     assert_eq!(r.malformed_lines, 0);
     assert_eq!(r.mean_heartbeat_eps(), Some(32.0));
     let _ = std::fs::remove_file(&path);

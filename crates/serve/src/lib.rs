@@ -45,5 +45,5 @@ pub mod transport;
 pub use engine::{shard_for, BatchEngine, Completion, EngineConfig, SubmitError};
 pub use loadgen::{replay_profile, RunReport};
 pub use server::{serve, serve_with, ServeConfig, ServerHandle, ShutdownSignal, TraceConfig};
-pub use stats::{LatencyHistogram, ServerStats, ShardStats};
+pub use stats::{ServerStats, ShardStats};
 pub use transport::{AcceptPolicy, DirectAccept, Transport};

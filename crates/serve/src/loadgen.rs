@@ -15,12 +15,12 @@ use std::time::{Duration, Instant};
 
 use obs::json::Json;
 use obs::trace::{derive_trace_id, hex16};
+use obs::LogLinearHistogram;
 use rand::{RngExt, SeedableRng, StdRng};
 use scenario::{FairnessReport, LoadProfile, TenantMetrics};
 use workload::distributions::{Exponential, Sample};
 
 use crate::protocol::{self, Response};
-use crate::stats::LatencyHistogram;
 
 /// Outcome of one load-generation run.
 #[derive(Debug, Clone)]
@@ -197,9 +197,9 @@ pub fn replay_profile(
     // opened afterwards would starve behind them.
     let dim = query_input_dim(addr)?;
     let n_tenants = profile.tenants.len().max(1);
-    let hist = Arc::new(LatencyHistogram::new());
-    let tenant_hists: Arc<Vec<LatencyHistogram>> =
-        Arc::new((0..n_tenants).map(|_| LatencyHistogram::new()).collect());
+    let hist = Arc::new(LogLinearHistogram::new());
+    let tenant_hists: Arc<Vec<LogLinearHistogram>> =
+        Arc::new((0..n_tenants).map(|_| LogLinearHistogram::new()).collect());
     let profile = Arc::new(profile.clone());
     let t0 = Instant::now();
     let conns = profile.balanced_conns(shards) as usize;

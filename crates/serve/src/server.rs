@@ -154,26 +154,34 @@ struct Tracing {
 }
 
 impl Tracing {
-    fn new(cfg: &ServeConfig, telemetry: Telemetry) -> Arc<Tracing> {
+    /// Fails when the configured trace journal cannot be opened: a server
+    /// asked to journal must not run silently without one.
+    fn new(cfg: &ServeConfig, telemetry: Telemetry) -> io::Result<Arc<Tracing>> {
         let (recorder, slow_ns, store, dump_path) = match &cfg.trace {
-            Some(tc) => (
-                Recorder::new(cfg.shards.max(1), tc.ring_capacity),
-                tc.slow_us.saturating_mul(1_000),
-                tc.store_dir
-                    .as_ref()
-                    .and_then(|dir| store::RunStore::open(dir).ok().map(Mutex::new)),
-                tc.dump_path.clone(),
-            ),
+            Some(tc) => {
+                let store = match &tc.store_dir {
+                    Some(dir) => Some(Mutex::new(store::RunStore::open(dir).map_err(|e| {
+                        io::Error::other(format!("cannot open trace store {dir}: {e}"))
+                    })?)),
+                    None => None,
+                };
+                (
+                    Recorder::new(cfg.shards.max(1), tc.ring_capacity),
+                    tc.slow_us.saturating_mul(1_000),
+                    store,
+                    tc.dump_path.clone(),
+                )
+            }
             None => (Recorder::disabled(), u64::MAX, None, None),
         };
-        Arc::new(Tracing {
+        Ok(Arc::new(Tracing {
             recorder,
             slow_ns,
             telemetry,
             store,
             dump_path,
             finalized: AtomicBool::new(false),
-        })
+        }))
     }
 
     /// Server-side completion of one traced request: records the root
@@ -262,12 +270,9 @@ impl Tracing {
             self.telemetry.flight_record(s);
         }
         if let Some(store) = &self.store {
-            let mut value = String::new();
-            for s in &spans {
-                s.write_flight_record_json(0.0, &mut value);
-            }
+            let value = flight_record_lines(&spans).into_bytes();
             let mut store = store.lock().unwrap();
-            store.put(format!("trace/{}", hex16(trace)), value.into_bytes());
+            store.put(format!("trace/{}", hex16(trace)), value);
             let _ = store.commit();
         }
     }
@@ -298,16 +303,23 @@ impl Tracing {
             self.telemetry.count("obs.sink.dropped_events", dropped);
         }
         if let Some(path) = &self.dump_path {
-            let mut out = String::new();
-            for s in self.recorder.dump() {
-                s.write_flight_record_json(0.0, &mut out);
-            }
-            let _ = std::fs::write(path, out);
+            let _ = std::fs::write(path, flight_record_lines(&self.recorder.dump()));
         }
         if let Some(store) = &self.store {
             let _ = store.lock().unwrap().flush();
         }
     }
+}
+
+/// `spans` as sidecar-format lines for the trace journal and the ring
+/// dump, which have no telemetry clock (`t` = 0).
+fn flight_record_lines(spans: &[SpanRecord]) -> String {
+    let mut out = String::new();
+    for &span in spans {
+        obs::Event::FlightRecord { t: 0.0, span }.write_json(&mut out);
+        out.push('\n');
+    }
+    out
 }
 
 /// Flag + wake-pipe pair that unblocks the acceptor. Cloneable via `Arc`;
@@ -479,7 +491,7 @@ pub fn serve_with<A: AcceptPolicy>(
         cfg.max_batch,
         cfg.shards.max(1),
     ));
-    let tracing = Tracing::new(&cfg, telemetry.clone());
+    let tracing = Tracing::new(&cfg, telemetry.clone())?;
     let engine = BatchEngine::start(
         inspector,
         EngineConfig {
@@ -1374,6 +1386,45 @@ mod tests {
         std::fs::remove_dir_all(&dir).ok();
     }
 
+    /// The spans of a cleanly decoded journal value or ring dump.
+    fn flight_spans(
+        (events, malformed): (Vec<obs::Event<String>>, Vec<String>),
+    ) -> Vec<SpanRecord> {
+        assert!(malformed.is_empty(), "{malformed:?}");
+        events
+            .iter()
+            .filter_map(|e| match e {
+                obs::Event::FlightRecord { span, .. } => Some(*span),
+                _ => None,
+            })
+            .collect()
+    }
+
+    #[test]
+    fn unopenable_trace_store_fails_server_start_naming_the_directory() {
+        let file =
+            std::env::temp_dir().join(format!("serve-trace-not-a-dir-{}", std::process::id()));
+        std::fs::write(&file, b"a regular file, not a run store").unwrap();
+        let err = serve(
+            tiny_inspector(),
+            ServeConfig {
+                workers: 1,
+                trace: Some(TraceConfig {
+                    store_dir: Some(file.display().to_string()),
+                    ..TraceConfig::default()
+                }),
+                ..ServeConfig::default()
+            },
+            Telemetry::disabled(),
+        )
+        .expect_err("a journal that cannot be opened must fail the start");
+        assert!(
+            err.to_string().contains(&file.display().to_string()),
+            "{err}"
+        );
+        std::fs::remove_file(&file).ok();
+    }
+
     #[test]
     fn traced_request_echoes_id_promotes_and_journals_a_complete_chain() {
         use obs::trace::{hex16, summarize};
@@ -1458,7 +1509,7 @@ mod tests {
             events
                 .iter()
                 .filter(
-                    |e| matches!(e, obs::Event::FlightRecord { trace, .. } if *trace == trace_id)
+                    |e| matches!(e, obs::Event::FlightRecord { span, .. } if span.trace_id == trace_id)
                 )
                 .count()
                 >= 5,
@@ -1473,24 +1524,17 @@ mod tests {
             .get(&format!("trace/{}", hex16(trace_id)))
             .unwrap()
             .expect("promoted trace journaled");
-        let mut journaled = Vec::new();
-        for line in String::from_utf8(value).unwrap().lines() {
-            let v = obs::json::parse(line).unwrap();
-            journaled.push(obs::SpanRecord::from_flight_record_json(&v).unwrap());
-        }
+        let journaled = flight_spans(obs::event::read_lines(
+            "journal",
+            &String::from_utf8(value).unwrap(),
+        ));
         let journal_summary = summarize(&journaled).expect("journaled chain reconstructs");
         assert_eq!(journal_summary.trace_id, trace_id);
 
-        // The shutdown dump is parseable flight_record JSONL too.
-        let dumped = std::fs::read_to_string(&dump).unwrap();
+        // The shutdown dump reads back through the same reader.
+        let dumped = flight_spans(obs::event::read_file(&dump).unwrap());
         assert!(
-            dumped
-                .lines()
-                .map(
-                    |l| obs::SpanRecord::from_flight_record_json(&obs::json::parse(l).unwrap())
-                        .unwrap()
-                )
-                .any(|s| s.trace_id == trace_id),
+            dumped.iter().any(|s| s.trace_id == trace_id),
             "ring dump contains the traced request"
         );
         std::fs::remove_dir_all(&dir).ok();

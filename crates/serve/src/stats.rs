@@ -8,9 +8,7 @@
 //! atomics — there is no second copy to drift. `obs` telemetry (when
 //! enabled) additionally streams per-batch events to a sidecar.
 //!
-//! The HDR-style histogram previously defined here moved to
-//! [`obs::hist::LogLinearHistogram`]; the old name is re-exported for
-//! compatibility. Latencies are recorded in nanosecond ticks
+//! Latencies are recorded in nanosecond ticks
 //! ([`obs::Histogram::observe_ticks`]), which the exposition layer scales
 //! to seconds.
 
@@ -19,12 +17,6 @@ use std::sync::Arc;
 
 use obs::json::Json;
 use obs::{Counter, Gauge, Histogram, Registry};
-
-/// The serve daemon's latency histogram type (moved to `obs`, re-exported
-/// here for compatibility). Values are nanosecond ticks; the old `_ns`
-/// method names are now unit-agnostic ([`LatencyHistogram::mean`],
-/// [`LatencyHistogram::quantile`]).
-pub use obs::LogLinearHistogram as LatencyHistogram;
 
 /// Summary object for a nanosecond-ticks histogram handle: count, mean and
 /// key quantiles in microseconds.
@@ -354,8 +346,8 @@ mod tests {
     }
 
     #[test]
-    fn latency_histogram_reexport_still_works() {
-        let h = LatencyHistogram::new();
+    fn log_linear_histogram_takes_nanosecond_ticks() {
+        let h = obs::LogLinearHistogram::new();
         h.record(42_000);
         assert_eq!(h.count(), 1);
         assert!(h.mean() > 0.0);

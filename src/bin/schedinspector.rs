@@ -824,31 +824,14 @@ fn cmd_trace(args: &Args) {
     }
 }
 
-/// Load every `flight_record` span from a run-store directory (keys under
+/// Load every flight-recorder span from a run-store directory (keys under
 /// `trace/`) or a JSONL dump/sidecar file, reconstruct each trace's
 /// critical path, and pretty-print the breakdown slowest-first.
 fn cmd_trace_inspect(path: &str) {
     use obs::trace::{hex16, summarize, TraceSummary};
     use std::collections::BTreeMap;
 
-    let mut spans: Vec<obs::SpanRecord> = Vec::new();
-    let mut malformed = 0usize;
-    let mut ingest_line = |line: &str| {
-        let line = line.trim();
-        if line.is_empty() {
-            return;
-        }
-        match obs::json::parse(line) {
-            // Sidecars interleave other event kinds with flight records;
-            // only `flight_record` lines carry spans.
-            Ok(v) if v.get("kind").and_then(obs::json::Json::as_str) != Some("flight_record") => {}
-            Ok(v) => match obs::SpanRecord::from_flight_record_json(&v) {
-                Ok(rec) => spans.push(rec),
-                Err(_) => malformed += 1,
-            },
-            Err(_) => malformed += 1,
-        }
-    };
+    let (mut events, mut malformed) = (Vec::new(), Vec::new());
     if Path::new(path).is_dir() {
         let store = RunStore::open(path).unwrap_or_else(|e| {
             eprintln!("cannot open store {path}: {e}");
@@ -861,9 +844,12 @@ fn cmd_trace_inspect(path: &str) {
         for key in keys.iter().filter(|k| k.starts_with("trace/")) {
             match store.get(key) {
                 Ok(Some(bytes)) => {
-                    for line in String::from_utf8_lossy(&bytes).lines() {
-                        ingest_line(line);
-                    }
+                    let (e, m) = obs::event::read_lines(
+                        &format!("{path}/{key}"),
+                        &String::from_utf8_lossy(&bytes),
+                    );
+                    events.extend(e);
+                    malformed.extend(m);
                 }
                 Ok(None) => {}
                 Err(e) => {
@@ -873,18 +859,19 @@ fn cmd_trace_inspect(path: &str) {
             }
         }
     } else {
-        let text = std::fs::read_to_string(path).unwrap_or_else(|e| {
-            eprintln!("cannot read {path}: {e}");
+        (events, malformed) = obs::event::read_file(Path::new(path)).unwrap_or_else(|e| {
+            eprintln!("cannot read {e}");
             exit(2)
         });
-        for line in text.lines() {
-            ingest_line(line);
-        }
     }
+    let malformed = malformed.len();
 
     let mut by_trace: BTreeMap<u64, Vec<obs::SpanRecord>> = BTreeMap::new();
-    for rec in spans {
-        by_trace.entry(rec.trace_id).or_default().push(rec);
+    // Sidecars interleave other event kinds with flight records.
+    for event in events {
+        if let obs::Event::FlightRecord { span, .. } = event {
+            by_trace.entry(span.trace_id).or_default().push(span);
+        }
     }
     if by_trace.is_empty() {
         eprintln!("{path}: no flight-record spans found ({malformed} malformed lines)");
@@ -1124,33 +1111,22 @@ fn cmd_check_telemetry(args: &Args) {
         eprintln!("--file FILE.jsonl is required");
         exit(2)
     };
-    let text = std::fs::read_to_string(path).unwrap_or_else(|e| {
-        eprintln!("cannot read {path}: {e}");
+    let (events, malformed) = obs::event::read_file(Path::new(path)).unwrap_or_else(|e| {
+        eprintln!("cannot read {e}");
         exit(2)
     });
-    let mut counts = std::collections::BTreeMap::new();
-    let mut lines = 0usize;
-    for (i, line) in text.lines().enumerate() {
-        if line.trim().is_empty() {
-            continue;
+    if !malformed.is_empty() {
+        for m in &malformed {
+            eprintln!("{m}");
         }
-        match obs::json::validate_telemetry_line(line) {
-            Ok(event) => {
-                let kind = event
-                    .get("kind")
-                    .and_then(|k| k.as_str())
-                    .unwrap_or("?")
-                    .to_string();
-                *counts.entry(kind).or_insert(0usize) += 1;
-                lines += 1;
-            }
-            Err(e) => {
-                eprintln!("{path}:{}: invalid telemetry line: {e}", i + 1);
-                exit(1)
-            }
-        }
+        eprintln!("{path}: {} invalid telemetry line(s)", malformed.len());
+        exit(1)
     }
-    println!("{path}: {lines} valid events");
+    let mut counts = std::collections::BTreeMap::new();
+    for event in &events {
+        *counts.entry(event.kind()).or_insert(0usize) += 1;
+    }
+    println!("{path}: {} valid events", events.len());
     for (kind, n) in counts {
         println!("  {kind:<10} {n}");
     }
@@ -1183,10 +1159,10 @@ fn cmd_report(args: &Args) {
     }
     let mut degraded = false;
     for path in &args.positional {
-        // Lenient parsing: a truncated or partially corrupt sidecar (the
-        // process died mid-write) still yields a summary, but malformed
-        // lines mark the run DEGRADED and fail the exit code below.
-        let report = obs::report::analyze_file_lenient(Path::new(path)).unwrap_or_else(|e| {
+        // A truncated or partially corrupt sidecar (the process died
+        // mid-write) still yields a summary, but malformed lines mark the
+        // run DEGRADED and fail the exit code below.
+        let report = obs::report::analyze_file(Path::new(path)).unwrap_or_else(|e| {
             eprintln!("{e}");
             exit(2)
         });

@@ -118,7 +118,8 @@ fn training_with_registry_exposes_metrics_and_report_analyzes_the_sidecar() {
     assert!(sample_value(&body, "schedinspector_train_episodes_per_sec").unwrap_or(0.0) > 0.0);
 
     // The same sidecar drives the offline report engine.
-    let report = obs::report::analyze_file(&path).expect("sidecar analyzes cleanly");
+    let report = obs::report::analyze_file(&path).expect("sidecar is readable");
+    assert_eq!(report.malformed_lines, 0, "{:?}", report.warnings);
     assert_eq!(report.epochs.len(), config.epochs);
     let eps = report
         .mean_heartbeat_eps()

@@ -42,13 +42,14 @@ fn two_epoch_jsonl_sidecar_parses_and_reconciles_with_history() {
     let mut mean_rewards = 0usize;
     let mut lines = 0usize;
     for (i, line) in text.lines().filter(|l| !l.trim().is_empty()).enumerate() {
-        let event = obs::json::validate_telemetry_line(line)
+        let event = obs::event::decode(line)
             .unwrap_or_else(|e| panic!("line {}: invalid telemetry: {e}", i + 1));
         lines += 1;
-        let kind = event.get("kind").and_then(|k| k.as_str()).unwrap();
-        let name = event.get("name").and_then(|n| n.as_str()).unwrap();
-        let delta = || event.get("delta").and_then(|d| d.as_f64()).unwrap() as u64;
-        match (kind, name) {
+        let delta = || match event {
+            obs::Event::Counter { delta, .. } => delta,
+            _ => unreachable!("only counters carry a delta"),
+        };
+        match (event.kind(), event.name()) {
             ("span_close", "epoch") => epoch_closes += 1,
             ("counter", "train.episodes") => episodes += delta(),
             ("counter", "train.inspections") => inspections += delta(),
