@@ -4,6 +4,8 @@
 //! return equals the trajectory's terminal reward; the critic provides the
 //! baseline, and advantages are normalized per batch to stabilize PPO.
 
+use tinynn::ForwardScratch;
+
 use crate::trajectory::Batch;
 use crate::value::ValueNet;
 
@@ -21,10 +23,12 @@ pub struct Advantages {
 pub fn compute(batch: &Batch, critic: &ValueNet) -> Advantages {
     let mut returns = Vec::with_capacity(batch.total_steps());
     let mut advantages = Vec::with_capacity(batch.total_steps());
+    let mut scratch = ForwardScratch::default();
     for t in &batch.trajectories {
         for s in &t.steps {
             returns.push(t.reward);
-            advantages.push(t.reward - critic.value(&s.state));
+            let value = critic.mlp().forward_scratch(&s.state, &mut scratch)[0];
+            advantages.push(t.reward - value);
         }
     }
     normalize(&mut advantages);
@@ -85,6 +89,31 @@ mod tests {
         let adv = compute(&batch, &critic);
         assert_eq!(adv.returns, vec![5.0, 5.0, -1.0]);
         assert_eq!(adv.advantages.len(), 3);
+    }
+
+    #[test]
+    fn advantages_are_reward_minus_critic_value_normalized() {
+        let batch = Batch {
+            trajectories: vec![
+                Trajectory {
+                    steps: vec![step(0.3), step(-1.0), step(0.8)],
+                    reward: 1.5,
+                },
+                Trajectory {
+                    steps: vec![step(2.0)],
+                    reward: -0.5,
+                },
+            ],
+        };
+        let critic = ValueNet::new(1, 4);
+        let mut want: Vec<f32> = batch
+            .trajectories
+            .iter()
+            .flat_map(|t| t.steps.iter().map(|s| t.reward - critic.value(&s.state)))
+            .collect();
+        normalize(&mut want);
+        let bits = |xs: &[f32]| xs.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        assert_eq!(bits(&compute(&batch, &critic).advantages), bits(&want));
     }
 
     #[test]

@@ -1,8 +1,8 @@
 //! The stochastic binary policy (accept / reject) over a two-logit MLP.
 
 use rand::{Rng, RngExt, SeedableRng};
-use tinynn::loss::{log_softmax, softmax};
-use tinynn::{Activation, ForwardScratch, Mlp, Tape};
+use tinynn::loss::{log_softmax, log_softmax2, softmax};
+use tinynn::{Activation, ForwardScratch, Mlp};
 
 /// Action index for "accept the scheduling decision".
 pub const ACCEPT: u8 = 0;
@@ -24,9 +24,7 @@ pub struct PolicyScratch {
 /// bit-identical decisions.
 #[inline]
 pub fn greedy_from_logits(l0: f32, l1: f32) -> (u8, f32) {
-    let max = l0.max(l1);
-    let lse = ((l0 - max).exp() + (l1 - max).exp()).ln() + max;
-    let lp = [l0 - lse, l1 - lse];
+    let lp = log_softmax2(l0, l1);
     let action = if lp[REJECT as usize].exp() > 0.5 {
         REJECT
     } else {
@@ -123,15 +121,11 @@ impl BinaryPolicy {
     }
 
     /// Log-probabilities `[accept, reject]` without allocating: one scratch
-    /// forward pass plus an inlined two-logit log-softmax (the same
-    /// max-shifted computation as [`log_softmax`], term for term, so results
-    /// are bit-identical to the allocating path).
+    /// forward pass plus the stack-only [`log_softmax2`], bit-identical to
+    /// the allocating path.
     fn log_probs_scratch(&self, state: &[f32], scratch: &mut PolicyScratch) -> [f32; 2] {
         let logits = self.net.forward_scratch(state, &mut scratch.fwd);
-        let (l0, l1) = (logits[0], logits[1]);
-        let max = l0.max(l1);
-        let lse = ((l0 - max).exp() + (l1 - max).exp()).ln() + max;
-        [l0 - lse, l1 - lse]
+        log_softmax2(logits[0], logits[1])
     }
 
     /// Allocation-free [`BinaryPolicy::sample`]: same action and log-prob
@@ -162,11 +156,6 @@ impl BinaryPolicy {
     /// Mutable access for the PPO updater.
     pub(crate) fn net_mut(&mut self) -> &mut Mlp {
         &mut self.net
-    }
-
-    /// Forward with tape, returning logits (for training).
-    pub(crate) fn forward_train<'t>(&self, state: &[f32], tape: &'t mut Tape) -> &'t [f32] {
-        self.net.forward_train(state, tape)
     }
 }
 

@@ -3,7 +3,7 @@
 //! same inputs, but output different values").
 
 use rand::SeedableRng;
-use tinynn::{Activation, Mlp, Tape};
+use tinynn::{Activation, Mlp};
 
 /// State-value estimator `V(s)`.
 #[derive(Debug, Clone, PartialEq)]
@@ -59,10 +59,6 @@ impl ValueNet {
 
     pub(crate) fn net_mut(&mut self) -> &mut Mlp {
         &mut self.net
-    }
-
-    pub(crate) fn forward_train<'t>(&self, state: &[f32], tape: &'t mut Tape) -> &'t [f32] {
-        self.net.forward_train(state, tape)
     }
 }
 

@@ -1,4 +1,4 @@
-//! Fused batched inference.
+//! Fused batched inference and row-block training.
 //!
 //! The serving hot path packs a micro-batch of feature vectors into one
 //! contiguous row-major matrix and pushes the whole batch through the
@@ -12,14 +12,28 @@
 //! `forward_scratch`, not merely close. Std-only, no intrinsics: the lanes
 //! are plain `f32` accumulators that the compiler can keep in registers
 //! (and auto-vectorise where the target allows).
+//!
+//! Training gets the same treatment: [`Mlp::forward_train_block`] and
+//! [`Mlp::backward_block`] push a block of rows through the network and
+//! back, recording into a [`BlockTape`]. They too are bit-exact against the
+//! per-sample definition ([`crate::Dense::forward`] then
+//! [`crate::Dense::backward`], one row after another): the forward is the
+//! same `dot8`, and every gradient element is a chain of `+=` whose terms
+//! arrive in the per-sample order — rows ascending for `gw[o][i]` and
+//! `gb[o]`, outputs ascending for `grad_x[r][i]`. Only the loop nest around
+//! those chains changes, and Rust never contracts `a + b * c` into a fused
+//! multiply-add, so the rounding of every step is the same.
 
+use crate::layer::Dense;
 use crate::mlp::Mlp;
 
 /// Rows per cache block in the fused matmul. Inside a block the output
 /// loop is outermost, so one weight row (≤ 32 floats for the paper
 /// network) stays hot in L1 while it is applied to every row of the block;
-/// the block bound keeps the input rows resident too.
-const ROW_BLOCK: usize = 64;
+/// the block bound keeps the input rows resident too. Training loops cut
+/// their batches into blocks of this many rows, which bounds a
+/// [`BlockTape`] at a few tens of kilobytes however long the batch is.
+pub const ROW_BLOCK: usize = 64;
 
 /// 8-lane unrolled dot product.
 ///
@@ -133,6 +147,153 @@ impl Mlp {
             *dim = out_dim;
         }
         &x[..rows * *dim]
+    }
+}
+
+/// Everything backprop needs from one forward pass over a block of rows,
+/// plus the gradient matrices the backward pass ping-pongs between layers.
+/// The tape owns all of its buffers: after the first block at a given size
+/// a forward/backward round allocates nothing.
+#[derive(Debug, Clone, Default)]
+pub struct BlockTape {
+    rows: usize,
+    /// `acts[0]` is the input block and `acts[l + 1]` the outputs of layer
+    /// `l`, each row-major `[rows × width]`.
+    acts: Vec<Vec<f32>>,
+    /// Pre-activations of layer `l`, `[rows × fan_out]`.
+    zs: Vec<Vec<f32>>,
+    /// ∂L/∂a of the layer being walked (turned into ∂L/∂z in place).
+    grad: Vec<f32>,
+    /// ∂L/∂x of that layer: the next layer down's ∂L/∂a.
+    grad_x: Vec<f32>,
+}
+
+/// `z = W x + b`, `a = act(z)` for every row of a block. Output-major like
+/// [`Mlp::forward_batch`], so a weight row is loaded once per block.
+fn forward_rows(layer: &Dense, rows: usize, x: &[f32], z: &mut Vec<f32>, a: &mut Vec<f32>) {
+    let (fan_in, fan_out) = (layer.fan_in, layer.fan_out);
+    // Every element is overwritten below, so a same-sized buffer is reused
+    // as it stands.
+    z.resize(rows * fan_out, 0.0);
+    a.resize(rows * fan_out, 0.0);
+    for o in 0..fan_out {
+        let wrow = &layer.w[o * fan_in..(o + 1) * fan_in];
+        let bias = layer.b[o];
+        for r in 0..rows {
+            let acc = dot8(wrow, &x[r * fan_in..(r + 1) * fan_in]) + bias;
+            z[r * fan_out + o] = acc;
+            a[r * fan_out + o] = layer.act.apply(acc);
+        }
+    }
+}
+
+/// Block form of [`Dense::backward`]: `grad` holds ∂L/∂a `[rows × fan_out]`
+/// on entry and ∂L/∂z on exit; parameter gradients accumulate into the
+/// layer, and ∂L/∂x is written to `grad_x` unless the caller has no use for
+/// it (the first layer's input gradient feeds nothing).
+///
+/// The three accumulations of the per-sample loop are split into three
+/// loop nests, each sweeping its accumulators contiguously; the sequence of
+/// additions into any one element is unchanged.
+fn backward_rows(
+    layer: &mut Dense,
+    rows: usize,
+    x: &[f32],
+    z: &[f32],
+    a: &[f32],
+    grad: &mut [f32],
+    grad_x: Option<&mut Vec<f32>>,
+) {
+    let (fan_in, fan_out) = (layer.fan_in, layer.fan_out);
+    debug_assert_eq!(grad.len(), rows * fan_out);
+    for ((g, &z), &a) in grad.iter_mut().zip(z).zip(a) {
+        *g *= layer.act.derivative(z, a);
+    }
+    for dz in grad.chunks_exact(fan_out) {
+        for (gb, &d) in layer.gb.iter_mut().zip(dz) {
+            *gb += d;
+        }
+    }
+    for o in 0..fan_out {
+        let row_g = &mut layer.gw[o * fan_in..(o + 1) * fan_in];
+        for r in 0..rows {
+            let dz = grad[r * fan_out + o];
+            for (g, &xi) in row_g.iter_mut().zip(&x[r * fan_in..(r + 1) * fan_in]) {
+                *g += dz * xi;
+            }
+        }
+    }
+    if let Some(grad_x) = grad_x {
+        grad_x.clear();
+        grad_x.resize(rows * fan_in, 0.0);
+        for (gx, dz) in grad_x
+            .chunks_exact_mut(fan_in)
+            .zip(grad.chunks_exact(fan_out))
+        {
+            for (o, &d) in dz.iter().enumerate() {
+                let row_w = &layer.w[o * fan_in..(o + 1) * fan_in];
+                for (g, &wi) in gx.iter_mut().zip(row_w) {
+                    *g += d * wi;
+                }
+            }
+        }
+    }
+}
+
+impl Mlp {
+    /// Forward pass over `rows` rows packed row-major in `x`, recording
+    /// everything [`Mlp::backward_block`] needs into `tape`. Returns the
+    /// output matrix `[rows × output_dim]`, borrowed from the tape; row `r`
+    /// is bit-identical to [`Mlp::forward_scratch`] on row `r`.
+    pub fn forward_train_block<'t>(
+        &self,
+        x: &[f32],
+        rows: usize,
+        tape: &'t mut BlockTape,
+    ) -> &'t [f32] {
+        assert_eq!(
+            x.len(),
+            rows * self.input_dim(),
+            "block size vs network input"
+        );
+        let layers = self.layers();
+        tape.rows = rows;
+        tape.acts.resize_with(layers.len() + 1, Vec::new);
+        tape.zs.resize_with(layers.len(), Vec::new);
+        tape.acts[0].clear();
+        tape.acts[0].extend_from_slice(x);
+        for (l, layer) in layers.iter().enumerate() {
+            let (inputs, outputs) = tape.acts.split_at_mut(l + 1);
+            forward_rows(layer, rows, &inputs[l], &mut tape.zs[l], &mut outputs[0]);
+        }
+        &tape.acts[layers.len()]
+    }
+
+    /// Backward pass over the block recorded in `tape`, from `grad_out`
+    /// (∂L/∂output, `[rows × output_dim]`), accumulating parameter
+    /// gradients. The accumulators end up bit-identical to calling
+    /// [`Mlp::forward_train`] + [`Mlp::backward`] on the rows one by one,
+    /// in order. Call [`Mlp::zero_grads`] before a new accumulation round.
+    pub fn backward_block(&mut self, tape: &mut BlockTape, grad_out: &[f32]) {
+        let BlockTape {
+            rows,
+            acts,
+            zs,
+            grad,
+            grad_x,
+        } = tape;
+        assert_eq!(
+            grad_out.len(),
+            *rows * self.output_dim(),
+            "gradient size vs recorded block"
+        );
+        grad.clear();
+        grad.extend_from_slice(grad_out);
+        for (l, layer) in self.layers_mut().iter_mut().enumerate().rev() {
+            let below = (l > 0).then_some(&mut *grad_x);
+            backward_rows(layer, *rows, &acts[l], &zs[l], &acts[l + 1], grad, below);
+            std::mem::swap(grad, grad_x);
+        }
     }
 }
 

@@ -75,6 +75,12 @@ impl Dense {
     /// Backward pass: given upstream `grad_a` (∂L/∂a), the cached input `x`,
     /// pre-activations `z`, and outputs `a`, accumulate parameter gradients
     /// and write ∂L/∂x into `grad_x`.
+    ///
+    /// This is the per-sample definition of the gradient arithmetic: the
+    /// row-block kernel behind [`crate::Mlp::backward`] and
+    /// [`crate::Mlp::backward_block`] adds the same terms into every
+    /// accumulator in the same order, and `tests/train_batch_parity.rs`
+    /// holds it to these bits.
     pub fn backward(
         &mut self,
         x: &[f32],

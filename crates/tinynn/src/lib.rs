@@ -35,6 +35,6 @@ mod serialize;
 
 pub use activation::Activation;
 pub use adam::Adam;
-pub use batch::{dot8, BatchForwardScratch};
+pub use batch::{dot8, BatchForwardScratch, BlockTape, ROW_BLOCK};
 pub use layer::Dense;
 pub use mlp::{ForwardScratch, Mlp, Tape};

@@ -1,8 +1,11 @@
 //! Multi-layer perceptrons with a training tape.
 
+use std::cell::RefCell;
+
 use rand::Rng;
 
 use crate::activation::Activation;
+use crate::batch::BlockTape;
 use crate::layer::Dense;
 
 /// A feed-forward MLP.
@@ -19,6 +22,11 @@ impl Mlp {
     /// The layers, in order (read-only; used by serialization).
     pub fn layers(&self) -> &[Dense] {
         &self.layers
+    }
+
+    /// The layers, mutably — for the block training kernels.
+    pub(crate) fn layers_mut(&mut self) -> &mut [Dense] {
+        &mut self.layers
     }
 
     /// Rebuild an MLP from explicit layers, validating that adjacent
@@ -40,12 +48,13 @@ impl Mlp {
 }
 
 /// Cached forward-pass state needed for backprop: the input plus each
-/// layer's pre-activations and outputs.
+/// layer's pre-activations and outputs — the one-row case of a
+/// [`BlockTape`]. The cell is there because [`Mlp::backward`] takes the
+/// tape by shared reference yet walks its gradient buffers; nothing else
+/// borrows through it.
 #[derive(Debug, Clone, Default)]
 pub struct Tape {
-    input: Vec<f32>,
-    zs: Vec<Vec<f32>>,
-    activations: Vec<Vec<f32>>,
+    block: RefCell<BlockTape>,
 }
 
 /// Reusable buffers for [`Mlp::forward_scratch`]. After the first pass the
@@ -120,33 +129,13 @@ impl Mlp {
 
     /// Forward pass recording everything backprop needs into `tape`.
     pub fn forward_train<'t>(&self, x: &[f32], tape: &'t mut Tape) -> &'t [f32] {
-        tape.input.clear();
-        tape.input.extend_from_slice(x);
-        tape.zs.resize_with(self.layers.len(), Vec::new);
-        tape.activations.resize_with(self.layers.len(), Vec::new);
-        for (i, layer) in self.layers.iter().enumerate() {
-            let (head, tail) = tape.activations.split_at_mut(i);
-            let input: &[f32] = if i == 0 { &tape.input } else { &head[i - 1] };
-            layer.forward(input, &mut tape.zs[i], &mut tail[0]);
-        }
-        tape.activations.last().map(Vec::as_slice).unwrap_or(&[])
+        self.forward_train_block(x, 1, tape.block.get_mut())
     }
 
     /// Backward pass from `grad_out` (∂L/∂output), accumulating parameter
     /// gradients. Call [`Mlp::zero_grads`] before a new accumulation round.
     pub fn backward(&mut self, tape: &Tape, grad_out: &[f32]) {
-        let mut grad = grad_out.to_vec();
-        let mut grad_next = Vec::new();
-        for i in (0..self.layers.len()).rev() {
-            let x: &[f32] = if i == 0 {
-                &tape.input
-            } else {
-                &tape.activations[i - 1]
-            };
-            let (z, a) = (&tape.zs[i], &tape.activations[i]);
-            self.layers[i].backward(x, z, a, &grad, &mut grad_next);
-            std::mem::swap(&mut grad, &mut grad_next);
-        }
+        self.backward_block(&mut tape.block.borrow_mut(), grad_out);
     }
 
     /// Zero all gradient accumulators.
