@@ -66,8 +66,7 @@ impl InspectorConfig {
     }
 
     /// Check that the configuration can drive a training run. Called by
-    /// [`TrainerBuilder::build`](crate::TrainerBuilder::build); the
-    /// deprecated panicking constructor funnels through the same checks.
+    /// [`TrainerBuilder::build`](crate::TrainerBuilder::build).
     pub fn validate(&self) -> Result<(), ConfigError> {
         if self.batch_size == 0 {
             return Err(ConfigError::ZeroBatchSize);

@@ -731,6 +731,40 @@ impl Trainer {
         &self.trace
     }
 
+    /// Digest of everything an episode is a function of besides `(start,
+    /// episode seed, policy snapshot)`: the trace's jobs and machine size,
+    /// `seq_len`, metric, reward, feature mode and simulator settings. A
+    /// base-policy factory is an opaque closure, so it enters by what it
+    /// *does* — the bits of the base run's metric on the first sequence.
+    /// Two trainers with equal digests (and seeds) roll out identical
+    /// episodes; `dist` compares it at the `hello` handshake.
+    pub fn world_digest(&self) -> u64 {
+        let c = &self.config;
+        let mut h = 0u64;
+        let mut fold = |x: u64| h = obs::trace::splitmix64(h ^ x);
+        for j in &self.trace.jobs {
+            let floats = [j.submit, j.runtime, j.estimate].map(f64::to_bits);
+            let ints = [j.id, j.procs.into(), j.user.into(), j.queue.into()];
+            floats.into_iter().chain(ints).for_each(&mut fold);
+        }
+        let jobs = self.trace.sequence(0, c.seq_len);
+        let base = self.sim.run(&jobs, (self.factory)().as_mut());
+        for x in [
+            self.trace.procs.into(),
+            c.seq_len as u64,
+            c.metric as u64,
+            c.reward as u64,
+            c.features as u64,
+            c.sim.backfill.into(),
+            c.sim.max_interval.to_bits(),
+            c.sim.max_rejections.into(),
+            base.metric(c.metric).to_bits(),
+        ] {
+            fold(x);
+        }
+        h
+    }
+
     /// Snapshot the current policy as a deployable inspector.
     pub fn inspector(&self) -> SchedInspector {
         SchedInspector::new(self.ppo.policy.clone(), self.features)

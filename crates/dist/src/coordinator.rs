@@ -39,6 +39,7 @@ use std::thread;
 use std::time::{Duration, Instant};
 
 use inspector::{Checkpoint, EpisodeSummary, RolloutReport, Trainer, TrainingHistory};
+use obs::trace::hex16;
 use obs::Telemetry;
 use rlcore::{average_ppo, average_stats, MergeShard, PpoConfig, PpoTrainer, UpdateStats};
 use serve::{AcceptPolicy, DirectAccept, Transport};
@@ -69,7 +70,8 @@ pub struct DistConfig {
     /// Hard bound: an epoch making no progress for this long aborts with
     /// [`DistError::Stalled`] instead of hanging.
     pub epoch_timeout: Duration,
-    /// Scheduler poll tick.
+    /// Scheduler poll tick: the watchdog's cadence, and the read timeout
+    /// of a connection whose worker has a shard outstanding.
     pub tick: Duration,
     /// First epoch to run (nonzero after a `--resume`).
     pub start_epoch: usize,
@@ -114,6 +116,7 @@ enum Event {
         conn: u64,
         input_dim: usize,
         seed: u64,
+        world: u64,
         tx: Sender<OutMsg>,
     },
     Episode {
@@ -132,6 +135,9 @@ enum Event {
 }
 
 enum OutMsg {
+    /// A `shard` assignment: the worker owes a `shard_done` for it.
+    Shard(String),
+    /// Any other frame (`shutdown`, `error`): nothing comes back.
     Frame(String),
     Close,
 }
@@ -206,6 +212,7 @@ impl Coordinator {
             report: DistReport::default(),
             input_dim: trainer.features().dim(),
             seed: trainer.config().seed,
+            world: trainer.world_digest(),
         };
         let epochs = trainer.config().epochs;
         let result = (|| {
@@ -258,6 +265,7 @@ struct Scheduler<'a> {
     report: DistReport,
     input_dim: usize,
     seed: u64,
+    world: u64,
 }
 
 impl Scheduler<'_> {
@@ -350,7 +358,7 @@ impl Scheduler<'_> {
                     &mut line,
                 );
                 let w = self.workers.get_mut(&conn).expect("picked from workers");
-                if w.tx.send(OutMsg::Frame(line)).is_err() {
+                if w.tx.send(OutMsg::Shard(line)).is_err() {
                     // Conn thread already gone; the Dead event will follow.
                     continue;
                 }
@@ -369,16 +377,22 @@ impl Scheduler<'_> {
                     conn,
                     input_dim,
                     seed,
+                    world,
                     tx,
                 }) => {
-                    if input_dim != self.input_dim || seed != self.seed {
+                    if (input_dim, seed, world) != (self.input_dim, self.seed, self.world) {
                         let mut line = String::new();
                         protocol::write_message(
                             &Message::Error {
                                 message: format!(
                                     "worker world mismatch: input_dim {input_dim} vs {}, \
-                                     seed {seed} vs {}",
-                                    self.input_dim, self.seed
+                                     seed {seed} vs {}, world digest {} vs {} (start the \
+                                     worker with the coordinator's trace/policy/metric/\
+                                     backfill/len flags)",
+                                    self.input_dim,
+                                    self.seed,
+                                    hex16(world),
+                                    hex16(self.world)
                                 ),
                             },
                             &mut line,
@@ -567,11 +581,18 @@ fn spawn_acceptor<A: AcceptPolicy>(
     })
 }
 
-/// Per-connection thread: drains outgoing frames, reads and parses
+/// Per-connection thread: writes outgoing frames, reads and parses
 /// incoming ones, forwards semantic events to the scheduler. Any
 /// protocol violation or transport failure ends the connection with a
 /// `Dead` event — a misbehaving worker can never panic or wedge the
 /// coordinator.
+///
+/// The protocol is strictly request/response after `hello`: a worker
+/// speaks only to answer a `shard`. So while it owes nothing the thread
+/// blocks on its outgoing queue — an assignment, or the final `shutdown`,
+/// leaves the moment the scheduler queues it — and it reads (with `tick`
+/// as the timeout, checking the queue between polls) only while a
+/// `shard_done` is outstanding.
 fn conn_loop<T: Transport>(
     mut t: T,
     conn: u64,
@@ -590,19 +611,30 @@ fn conn_loop<T: Transport>(
         return;
     }
     let mut reader = FrameReader::new(MAX_FRAME_BYTES);
-    let mut hello = false;
+    // `Some` until `hello` hands the sender to the scheduler; from then on
+    // the queue disconnects when the scheduler lets go of this worker.
+    let mut out_tx = Some(out_tx);
+    // `shard` frames written whose `shard_done` has not come back.
+    let mut owed = 0usize;
     loop {
         loop {
-            match out_rx.try_recv() {
-                Ok(OutMsg::Frame(frame)) => {
-                    if let Err(e) = t.write_all(frame.as_bytes()) {
-                        dead(&events, e.to_string());
-                        return;
-                    }
+            let next = if out_tx.is_none() && owed == 0 {
+                out_rx.recv().map_err(|_| TryRecvError::Disconnected)
+            } else {
+                out_rx.try_recv()
+            };
+            let frame = match next {
+                Ok(OutMsg::Shard(frame)) => {
+                    owed += 1;
+                    frame
                 }
-                Ok(OutMsg::Close) => return,
+                Ok(OutMsg::Frame(frame)) => frame,
+                Ok(OutMsg::Close) | Err(TryRecvError::Disconnected) => return,
                 Err(TryRecvError::Empty) => break,
-                Err(TryRecvError::Disconnected) => return,
+            };
+            if let Err(e) = t.write_all(frame.as_bytes()) {
+                dead(&events, e.to_string());
+                return;
             }
         }
         let line = match reader.poll_line(&mut t) {
@@ -620,13 +652,14 @@ fn conn_loop<T: Transport>(
                 return;
             }
         };
-        let event = match (hello, msg) {
+        let event = match (out_tx.take(), msg) {
             (
-                false,
+                Some(tx),
                 Message::Hello {
                     proto,
                     input_dim,
                     seed,
+                    world,
                 },
             ) => {
                 if proto != PROTO_VERSION {
@@ -636,17 +669,17 @@ fn conn_loop<T: Transport>(
                     );
                     return;
                 }
-                hello = true;
                 Event::Joined {
                     conn,
                     input_dim,
                     seed,
-                    tx: out_tx.clone(),
+                    world,
+                    tx,
                 }
             }
-            (true, Message::Episode { epoch, summary }) => Event::Episode { epoch, summary },
+            (None, Message::Episode { epoch, summary }) => Event::Episode { epoch, summary },
             (
-                true,
+                None,
                 Message::EpisodeBin {
                     epoch,
                     index,
@@ -686,19 +719,22 @@ fn conn_loop<T: Transport>(
                 }
             }
             (
-                true,
+                None,
                 Message::ShardDone {
                     epoch,
                     shard,
                     episodes: _,
                     replica,
                 },
-            ) => Event::ShardDone {
-                conn,
-                epoch,
-                shard,
-                replica,
-            },
+            ) => {
+                owed = owed.saturating_sub(1);
+                Event::ShardDone {
+                    conn,
+                    epoch,
+                    shard,
+                    replica,
+                }
+            }
             (_, Message::Error { message }) => {
                 dead(&events, format!("worker error: {message}"));
                 return;

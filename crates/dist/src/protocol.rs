@@ -15,7 +15,8 @@
 //! Worker → coordinator:
 //!
 //! ```text
-//! hello       = {"verb":"hello","proto":1,"input_dim":D,"seed":HEX16}
+//! hello       = {"verb":"hello","proto":2,"input_dim":D,"seed":HEX16,
+//!                "world":HEX16}
 //! episode     = {"verb":"episode","epoch":E,"index":I,"base_metric":B,
 //!                "inspected_metric":M,"inspections":N,"rejections":K,
 //!                "reward":R,"steps":[[[f,...],a,logp],...]}
@@ -47,7 +48,7 @@ use serve::Transport;
 use std::fmt::Write as _;
 
 /// Protocol version carried in `hello`; the coordinator rejects mismatches.
-pub const PROTO_VERSION: u64 = 1;
+pub const PROTO_VERSION: u64 = 2;
 
 /// Ceiling on one frame (line or binary payload). A full checkpoint for
 /// the paper's 938-parameter network is a few tens of KiB; 16 MiB leaves
@@ -173,6 +174,9 @@ pub enum Message {
         input_dim: usize,
         /// Worker's training seed — must match the coordinator's.
         seed: u64,
+        /// Worker's [`inspector::Trainer::world_digest`] — must match the
+        /// coordinator's, or its episodes are functions of another world.
+        world: u64,
     },
     /// Shard assignment: roll out these `(episode index, start offset)`
     /// pairs under the shipped checkpoint.
@@ -244,11 +248,13 @@ pub fn write_message(msg: &Message, out: &mut String) {
             proto,
             input_dim,
             seed,
+            world,
         } => {
             let _ = write!(
                 out,
-                "{{\"verb\":\"hello\",\"proto\":{proto},\"input_dim\":{input_dim},\"seed\":\"{}\"}}",
-                hex16(*seed)
+                "{{\"verb\":\"hello\",\"proto\":{proto},\"input_dim\":{input_dim},\"seed\":\"{}\",\"world\":\"{}\"}}",
+                hex16(*seed),
+                hex16(*world)
             );
         }
         Message::Shard {
@@ -434,6 +440,7 @@ pub fn parse_message(line: &str) -> Result<Message, ProtoError> {
             proto: count_field(&v, "proto")?,
             input_dim: index_field(&v, "input_dim")?,
             seed: hex_field(&v, "seed")?,
+            world: hex_field(&v, "world")?,
         }),
         "shard" => {
             let raw = v
@@ -873,6 +880,7 @@ mod tests {
                 proto: PROTO_VERSION,
                 input_dim: 7,
                 seed: u64::MAX - 3,
+                world: 0xFEED_FACE_0000_0001,
             },
             Message::Shard {
                 epoch: 4,
@@ -937,8 +945,11 @@ mod tests {
             proto: 1,
             input_dim: 1,
             seed,
+            world: seed + 1,
         }) {
-            Message::Hello { seed: got, .. } => assert_eq!(got, seed),
+            Message::Hello {
+                seed: got, world, ..
+            } => assert_eq!((got, world), (seed, seed + 1)),
             other => panic!("unexpected {other:?}"),
         }
     }
@@ -1008,8 +1019,9 @@ mod tests {
             "{",
             "null",
             "{\"verb\":\"nope\"}",
-            "{\"verb\":\"hello\",\"proto\":1,\"input_dim\":7}", // missing seed
-            "{\"verb\":\"hello\",\"proto\":1,\"input_dim\":7,\"seed\":12}", // numeric seed
+            "{\"verb\":\"hello\",\"proto\":2,\"input_dim\":7,\"world\":\"0a\"}", // missing seed
+            "{\"verb\":\"hello\",\"proto\":2,\"input_dim\":7,\"seed\":12,\"world\":\"0a\"}", // numeric seed
+            "{\"verb\":\"hello\",\"proto\":2,\"input_dim\":7,\"seed\":\"0a\"}", // missing world
             "{\"verb\":\"shard\",\"epoch\":0}",
             "{\"verb\":\"episode\",\"epoch\":0,\"index\":0,\"base_metric\":1,\
              \"inspected_metric\":1,\"inspections\":0,\"rejections\":0,\"reward\":0,\

@@ -86,6 +86,7 @@ pub fn run_worker_on<T: Transport>(
             proto: PROTO_VERSION,
             input_dim: trainer.features().dim(),
             seed: trainer.config().seed,
+            world: trainer.world_digest(),
         },
         &mut out,
     );

@@ -117,3 +117,57 @@ proptest! {
         prop_assert_eq!(curve_a, curve_b);
     }
 }
+
+/// A worker whose world differs only in `seq_len` — same trace, seed and
+/// feature dimension, so the old handshake admitted it and merged episodes
+/// over the wrong sequences — is turned away at `hello`, and training
+/// completes on the good worker with the in-process bytes.
+#[test]
+fn worker_with_a_different_seq_len_is_rejected_at_hello() {
+    use dist::{run_worker, Coordinator, DistConfig, DistError, WorkerConfig};
+    use inspector::{InspectorConfig, Trainer};
+
+    let trace = synthetic::generate(&profiles::SDSC_SP2, 72, 7);
+    let (local_ckpt, _) = run_local(&trace, 42);
+    let mut coordinator_trainer = make_trainer(trace.clone(), 42);
+    let mut good = make_trainer(trace.clone(), 42);
+    let mut bad = Trainer::builder(trace)
+        .policy(policies::PolicyKind::Sjf)
+        .config(InspectorConfig {
+            seq_len: common::config(42).seq_len + 1,
+            ..common::config(42)
+        })
+        .build()
+        .expect("valid trainer config");
+    assert_ne!(bad.world_digest(), good.world_digest());
+    assert_eq!(coordinator_trainer.world_digest(), good.world_digest());
+
+    let coordinator = Coordinator::bind("127.0.0.1:0").expect("bind ephemeral");
+    let cfg = WorkerConfig {
+        connect: coordinator.addr().to_string(),
+        ..WorkerConfig::default()
+    };
+    let (bad_cfg, good_cfg) = (cfg.clone(), cfg);
+    // The good worker joins only once the bad one has been refused, so
+    // every shard the bad one might have been handed is still open.
+    let workers = std::thread::spawn(move || {
+        let refused = run_worker(&mut bad, &bad_cfg);
+        (refused, run_worker(&mut good, &good_cfg))
+    });
+    let dist_cfg = DistConfig::default();
+    let report = coordinator
+        .run(
+            &mut coordinator_trainer,
+            &dist_cfg,
+            None,
+            &obs::Telemetry::disabled(),
+        )
+        .expect("training completes on the good worker");
+    let (refused, _) = workers.join().expect("worker thread");
+    match refused {
+        Err(DistError::Remote(message)) => assert!(message.contains("world"), "{message}"),
+        other => panic!("mismatched worker must be refused with an error frame: {other:?}"),
+    }
+    assert_eq!(report.workers_joined, 1, "{report:?}");
+    assert_eq!(coordinator_trainer.checkpoint_text(EPOCHS), local_ckpt);
+}

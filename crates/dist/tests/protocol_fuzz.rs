@@ -155,13 +155,39 @@ fn live_coordinator_sheds_junk_connections_and_still_trains() {
     let coordinator = Coordinator::bind("127.0.0.1:0").expect("bind");
     let addr = coordinator.addr();
 
-    // Junk clients race the real worker: raw garbage, a valid-verb frame
-    // before hello, a truncated hello, and an abrupt disconnect.
+    let mut wrong_world = String::new();
+    write_message(
+        &Message::Hello {
+            proto: dist::protocol::PROTO_VERSION,
+            input_dim: coordinator_trainer.features().dim(),
+            seed,
+            world: !coordinator_trainer.world_digest(),
+        },
+        &mut wrong_world,
+    );
+    let worker_trainer = make_trainer(trace, seed);
     let junker = std::thread::spawn(move || {
-        let payloads: [&[u8]; 4] = [
+        // A well-formed hello from another world is answered, not dropped:
+        // one `error` frame naming the mismatch, then the close. The real
+        // worker starts only afterwards, so the run cannot finish first.
+        let mut s = TcpStream::connect(addr).expect("connect");
+        s.write_all(wrong_world.as_bytes()).expect("send hello");
+        let mut reply = String::new();
+        std::io::Read::read_to_string(&mut s, &mut reply).expect("read until close");
+        match parse_message(reply.trim_end()) {
+            Ok(Message::Error { message }) => assert!(message.contains("world"), "{message}"),
+            other => panic!("expected one error frame, got {other:?} from {reply:?}"),
+        }
+
+        // Junk clients race the real worker: raw garbage, a valid-verb
+        // frame before hello, a truncated hello, a complete hello from
+        // before the world digest existed, and an abrupt disconnect.
+        let workers = spawn_local_workers(addr, vec![worker_trainer]);
+        let payloads: [&[u8]; 5] = [
             b"!!!! not json at all\n\x00\xff\xfe garbage\n",
             b"{\"verb\":\"episode\",\"epoch\":0}\n",
             b"{\"verb\":\"hello\",\"proto\":1,\"input_dim\"",
+            b"{\"verb\":\"hello\",\"proto\":1,\"input_dim\":8,\"seed\":\"000000000000002a\"}\n",
             b"",
         ];
         for p in payloads {
@@ -172,9 +198,9 @@ fn live_coordinator_sheds_junk_connections_and_still_trains() {
                 std::thread::sleep(Duration::from_millis(20));
             }
         }
+        workers
     });
 
-    let workers = spawn_local_workers(addr, vec![make_trainer(trace, seed)]);
     let cfg = DistConfig {
         shards: 1,
         ..DistConfig::default()
@@ -182,8 +208,7 @@ fn live_coordinator_sheds_junk_connections_and_still_trains() {
     let report = coordinator
         .run(&mut coordinator_trainer, &cfg, None, &Telemetry::disabled())
         .expect("junk connections must not sink the run");
-    junker.join().unwrap();
-    let _ = workers.join();
+    let _ = junker.join().expect("junk clients").join();
 
     assert_eq!(
         coordinator_trainer.checkpoint_text(EPOCHS),

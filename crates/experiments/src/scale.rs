@@ -58,9 +58,18 @@ impl Scale {
 }
 
 /// Parse standard experiment flags: `--quick`, `--paper`, `--epochs N`,
-/// `--seed N`. Returns the scale and the base seed.
+/// `--seed N`. Returns the scale and the base seed. A value that is missing
+/// or does not parse is a usage error (exit 2) naming the flag and the
+/// rejected text — never a silent run at the default scale.
 pub fn parse_args() -> (Scale, u64) {
-    let args: Vec<String> = std::env::args().collect();
+    let args: Vec<String> = std::env::args().skip(1).collect();
+    parse(&args).unwrap_or_else(|e| {
+        eprintln!("{e}");
+        std::process::exit(2)
+    })
+}
+
+fn parse(args: &[String]) -> Result<(Scale, u64), String> {
     let mut scale = Scale::standard();
     if args.iter().any(|a| a == "--quick") {
         scale = Scale::quick();
@@ -71,21 +80,18 @@ pub fn parse_args() -> (Scale, u64) {
     let mut seed = 20220627; // HPDC'22 started June 27, 2022
     let mut it = args.iter();
     while let Some(a) = it.next() {
+        let mut number = || {
+            let v = it.next().map(String::as_str).unwrap_or_default();
+            let n = v.parse::<u64>();
+            n.map_err(|_| format!("{a} must be a number, got {v:?}"))
+        };
         match a.as_str() {
-            "--epochs" => {
-                if let Some(v) = it.next().and_then(|v| v.parse().ok()) {
-                    scale.epochs = v;
-                }
-            }
-            "--seed" => {
-                if let Some(v) = it.next().and_then(|v| v.parse().ok()) {
-                    seed = v;
-                }
-            }
+            "--epochs" => scale.epochs = number()? as usize,
+            "--seed" => seed = number()?,
             _ => {}
         }
     }
-    (scale, seed)
+    Ok((scale, seed))
 }
 
 #[cfg(test)]
@@ -103,5 +109,22 @@ mod tests {
         assert_eq!(p.seq_len, 128, "paper trajectory length");
         assert_eq!(s.eval_seqs, 50, "paper evaluation count");
         assert_eq!(s.eval_len, 256, "paper evaluation sequence length");
+    }
+
+    #[test]
+    fn flags_override_the_scale_and_a_bad_value_names_its_flag() {
+        let args =
+            |line: &str| -> Vec<String> { line.split_whitespace().map(String::from).collect() };
+        let (scale, seed) = parse(&args("--quick --epochs 4 --seed 9")).unwrap();
+        assert_eq!(
+            (scale.epochs, scale.batch, seed),
+            (4, Scale::quick().batch, 9)
+        );
+        assert_eq!(parse(&args("")).unwrap(), (Scale::standard(), 20220627));
+        // `4O` used to run the standard 40 epochs without a word.
+        let err = parse(&args("--epochs 4O")).unwrap_err();
+        assert!(err.contains("--epochs") && err.contains("\"4O\""), "{err}");
+        let err = parse(&args("--quick --seed")).unwrap_err();
+        assert!(err.contains("--seed"), "{err}");
     }
 }
