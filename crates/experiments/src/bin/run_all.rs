@@ -1,60 +1,48 @@
-//! Run every experiment binary in paper order, forwarding the scale flags
-//! (`--quick`, `--paper`, `--epochs N`, `--seed N`).
+//! `run_all [NAME...] [--quick|--paper] [--epochs N] [--seed N]` — run the
+//! named experiments (default: every table and figure of the paper, in
+//! paper order) in one process, training each combination once, and end
+//! with one table: findings held and not held, wall seconds, trainings run
+//! and reused, per experiment.
+//!
+//! Exit 2: the command line cannot be used. Exit 1: an experiment panicked,
+//! could not write a result, or a training-free finding does not hold.
+//! `SCHEDINSPECTOR_RESULTS` overrides the `results/` directory;
+//! `SCHEDINSPECTOR_TELEMETRY` adds the `run_all.telemetry.jsonl` sidecar.
 
-use std::process::Command;
+use std::path::PathBuf;
+use std::process::ExitCode;
 
-const EXPERIMENTS: [&str; 15] = [
-    "table1_motivating",
-    "table2_traces",
-    "table3_policies",
-    "fig4_training_curves",
-    "fig5_features",
-    "fig6_rewards",
-    "fig7_policies",
-    "fig8_test_perf",
-    "table4_cross_trace",
-    "fig9_metrics",
-    "fig10_tradeoff",
-    "fig11_backfill",
-    "table5_utilization",
-    "fig12_slurm",
-    "fig13_learned",
-];
+use experiments::{parse, run, summarize, telemetry_for, Ctx};
 
-fn main() {
+fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
-    let exe_dir = std::env::current_exe()
-        .expect("current exe")
-        .parent()
-        .expect("exe dir")
-        .to_path_buf();
-    let mut failed = Vec::new();
-    for name in EXPERIMENTS {
-        println!(
-            "\n=== {name} {}\n",
-            "=".repeat(60usize.saturating_sub(name.len()))
-        );
-        let status = Command::new(exe_dir.join(name)).args(&args).status();
-        match status {
-            Ok(s) if s.success() => {}
-            Ok(s) => {
-                eprintln!("{name} exited with {s}");
-                failed.push(name);
-            }
-            Err(e) => {
-                eprintln!("{name} failed to launch: {e} (build with `cargo build --release -p experiments` first)");
-                failed.push(name);
-            }
+    let (rows, scale, seed) = match parse(&args) {
+        Ok(parsed) => parsed,
+        Err(usage) => {
+            eprintln!("{usage}");
+            return ExitCode::from(2);
         }
-    }
-    println!("\n=== cost_inference {}\n", "=".repeat(46));
-    let _ = Command::new(exe_dir.join("cost_inference"))
-        .args(&args)
-        .status();
-    if failed.is_empty() {
-        println!("\nAll experiments completed. CSVs are under results/.");
+    };
+    let results = std::env::var_os("SCHEDINSPECTOR_RESULTS").unwrap_or_else(|| "results".into());
+    let results = PathBuf::from(results);
+    let telemetry = match telemetry_for(&results) {
+        Ok(telemetry) => telemetry,
+        Err(e) => {
+            eprintln!("error: {e}");
+            return ExitCode::FAILURE;
+        }
+    };
+    println!(
+        "{} experiment(s) at {scale:?}, seed {seed}, {} core(s); results -> {}",
+        rows.len(),
+        std::thread::available_parallelism().map_or(1, usize::from),
+        results.display()
+    );
+    let mut ctx = Ctx::new(scale, seed, results, telemetry);
+    let reports = run(&mut ctx, &rows);
+    if summarize(&reports) {
+        ExitCode::FAILURE
     } else {
-        eprintln!("\nFailed experiments: {failed:?}");
-        std::process::exit(1);
+        ExitCode::SUCCESS
     }
 }

@@ -1,4 +1,4 @@
-//! Training/evaluation drivers shared by the experiment binaries.
+//! Training/evaluation drivers shared by the experiments.
 
 use inspector::{
     evaluate, factory_for, slurm_factory, EvalReport, FeatureMode, InspectorConfig, PolicyFactory,
@@ -13,7 +13,7 @@ use crate::load_trace;
 use crate::scale::Scale;
 
 /// One (trace, policy, metric, ...) training combination.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ComboSpec {
     /// Trace name (Table 2).
     pub trace: String,
@@ -25,8 +25,9 @@ pub struct ComboSpec {
     pub reward: RewardKind,
     /// Feature-building mechanism.
     pub features: FeatureMode,
-    /// EASY backfilling on/off.
-    pub backfill: bool,
+    /// Simulator settings: EASY backfilling and the two §4.1 inspection
+    /// knobs.
+    pub sim: SimConfig,
 }
 
 impl ComboSpec {
@@ -38,7 +39,7 @@ impl ComboSpec {
             metric: Metric::Bsld,
             reward: RewardKind::Percentage,
             features: FeatureMode::Manual,
-            backfill: false,
+            sim: SimConfig::default(),
         }
     }
 
@@ -48,6 +49,21 @@ impl ComboSpec {
             Some(k) => k.name(),
             None => "Slurm",
         }
+    }
+}
+
+impl std::fmt::Display for ComboSpec {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        let (policy, metric, reward) = (self.policy_name(), self.metric.name(), self.reward.name());
+        let (trace, features) = (&self.trace, self.features);
+        write!(
+            f,
+            "{policy} on {trace}, {metric}, {reward} reward, {features:?} features"
+        )?;
+        if self.sim != SimConfig::default() {
+            write!(f, ", {:?}", self.sim)?;
+        }
+        Ok(())
     }
 }
 
@@ -70,9 +86,22 @@ pub struct TrainOutcome {
 impl TrainOutcome {
     /// Evaluate the trained inspector on the held-out split at this scale.
     pub fn evaluate(&self, scale: &Scale, seed: u64) -> EvalReport {
+        self.evaluate_on(&self.inspector, &self.test, scale, seed)
+    }
+
+    /// Evaluate `inspector` on sequences drawn from `test`, under this
+    /// combination's base policy and simulator settings — a transferred
+    /// model (Table 4) or a load-scaled split.
+    pub fn evaluate_on(
+        &self,
+        inspector: &SchedInspector,
+        test: &JobTrace,
+        scale: &Scale,
+        seed: u64,
+    ) -> EvalReport {
         evaluate(
-            &self.inspector,
-            &self.test,
+            inspector,
+            test,
             &self.factory,
             self.sim,
             scale.eval_seqs,
@@ -83,15 +112,18 @@ impl TrainOutcome {
     }
 }
 
-/// Train one combination at the given scale (the workhorse of Figs. 4–12).
-pub fn train_combo(spec: &ComboSpec, scale: &Scale, seed: u64) -> TrainOutcome {
-    train_combo_traced(spec, scale, seed, &Telemetry::disabled())
+/// Mean relative improvement over the last five epochs: the convergence
+/// value of Figs. 9, 11 and 12, beside `TrainingHistory`'s absolute one.
+pub(crate) fn converged_pct(history: &TrainingHistory) -> f64 {
+    let recs = &history.records;
+    let tail = &recs[recs.len().saturating_sub(5)..];
+    tail.iter().map(|r| r.improvement_pct).sum::<f64>() / tail.len().max(1) as f64
 }
 
-/// Like [`train_combo`], but streaming training telemetry through
-/// `telemetry` — binaries pass the sidecar handle from
-/// [`telemetry_for`](crate::telemetry_for).
-pub fn train_combo_traced(
+/// Train one combination at the given scale (the workhorse of Figs. 4–12),
+/// streaming training telemetry through `telemetry` — [`Ctx`](crate::Ctx)
+/// passes the sidecar handle from [`telemetry_for`](crate::telemetry_for).
+pub fn train_combo(
     spec: &ComboSpec,
     scale: &Scale,
     seed: u64,
@@ -103,10 +135,7 @@ pub fn train_combo_traced(
         Some(kind) => factory_for(kind),
         None => slurm_factory(&trace),
     };
-    let sim = SimConfig {
-        backfill: spec.backfill,
-        ..SimConfig::default()
-    };
+    let sim = spec.sim;
     let config = InspectorConfig {
         metric: spec.metric,
         features: spec.features,
@@ -150,7 +179,7 @@ mod tests {
         scale.eval_seqs = 3;
         scale.eval_len = 48;
         let spec = ComboSpec::new("SDSC-SP2", PolicyKind::Sjf);
-        let out = train_combo(&spec, &scale, 7);
+        let out = train_combo(&spec, &scale, 7, &Telemetry::disabled());
         assert_eq!(out.history.records.len(), 2);
         let rep = out.evaluate(&scale, 1);
         assert_eq!(rep.cases.len(), 3);

@@ -1,50 +1,46 @@
-//! Shared harness for the experiment binaries.
+//! The paper's evaluation as a table of experiments.
 //!
-//! Every table and figure of the paper's evaluation has a binary in
-//! `src/bin/` built on these helpers: trace loading, scaled configurations
-//! (`--quick` / `--paper`), training drivers, CSV output under `results/`,
-//! and aligned table printing.
+//! Every table and figure of §4–§5 is one row of [`EXPERIMENTS`]: a name,
+//! a title and a function from the invocation's shared state ([`Ctx`]:
+//! scale, seed, results directory, telemetry, the combinations already
+//! trained) to an [`Outcome`] — the tables it wrote and, as typed
+//! [`Finding`]s, what the paper claimed against what this run measured.
+//! `run_all` is the one program: it parses the command line, runs the
+//! selected rows in-process through [`run`], and ends with one table.
 
+pub mod ctx;
 pub mod harness;
 pub mod output;
+pub mod paper;
+pub mod run;
 pub mod scale;
 
-pub use harness::{train_combo, train_combo_traced, ComboSpec, TrainOutcome};
-pub use output::{print_table, write_csv};
-pub use scale::{parse_args, Scale};
+use std::path::Path;
+
+pub use ctx::{Ctx, Finding, Outcome};
+pub use harness::{train_combo, ComboSpec, TrainOutcome};
+pub use output::{Csv, Table};
+pub use paper::{Experiment, EXPERIMENTS};
+pub use run::{run, summarize, Report};
+pub use scale::{parse, Scale};
 
 use workload::{JobTrace, SyntheticSource, TraceSource};
 
-/// Sidecar telemetry for an experiment binary. Opt-in: when
-/// `SCHEDINSPECTOR_TELEMETRY` is set (to anything), training events stream
-/// to `results/<binary>.telemetry.jsonl` (one JSON object per line);
-/// otherwise the handle is disabled and recording costs nothing.
-pub fn telemetry_for(binary: &str) -> obs::Telemetry {
+/// Sidecar telemetry for one `run_all` invocation. Opt-in: when
+/// `SCHEDINSPECTOR_TELEMETRY` is set (to anything), training events and one
+/// span per experiment stream to `<results>/run_all.telemetry.jsonl` (one
+/// JSON object per line); otherwise the handle is disabled and recording
+/// costs nothing.
+pub fn telemetry_for(results: &Path) -> Result<obs::Telemetry, obs::ObsError> {
     if std::env::var_os("SCHEDINSPECTOR_TELEMETRY").is_none() {
-        return obs::Telemetry::disabled();
+        return Ok(obs::Telemetry::disabled());
     }
-    let dir = output::results_dir();
-    if let Err(e) = std::fs::create_dir_all(&dir) {
-        eprintln!(
-            "warning: cannot create {}: {e}; telemetry off",
-            dir.display()
-        );
-        return obs::Telemetry::disabled();
-    }
-    let path = dir.join(format!("{binary}.telemetry.jsonl"));
-    match obs::Telemetry::jsonl(&path) {
-        Ok(t) => {
-            println!("telemetry -> {}", path.display());
-            t
-        }
-        Err(e) => {
-            eprintln!(
-                "warning: cannot write {}: {e}; telemetry off",
-                path.display()
-            );
-            obs::Telemetry::disabled()
-        }
-    }
+    // A directory that cannot be created surfaces as the sidecar's error.
+    let _ = std::fs::create_dir_all(results);
+    let path = results.join("run_all.telemetry.jsonl");
+    let telemetry = obs::Telemetry::jsonl(&path)?;
+    println!("telemetry -> {}", path.display());
+    Ok(telemetry)
 }
 
 /// The four paper traces in Table 2 order.

@@ -1,43 +1,57 @@
-//! Result output: aligned console tables and CSV files under `results/`.
+//! Result output: aligned console tables and CSV files under the results
+//! directory.
 
 use std::io::Write as _;
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 
-/// Directory experiment CSVs are written to (override with
-/// `SCHEDINSPECTOR_RESULTS`).
-pub fn results_dir() -> PathBuf {
-    let dir = std::env::var("SCHEDINSPECTOR_RESULTS").unwrap_or_else(|_| "results".into());
-    PathBuf::from(dir)
+/// The CSV file behind a [`Table`].
+#[derive(Debug, Clone, PartialEq)]
+pub struct Csv {
+    /// Where it was written.
+    pub path: PathBuf,
+    /// Its first line.
+    pub header: String,
 }
 
-/// Write a CSV file (header + rows) under the results directory; returns
-/// the path written. Failures are reported but non-fatal (experiments keep
-/// printing to stdout).
-pub fn write_csv(name: &str, header: &str, rows: &[String]) -> Option<PathBuf> {
-    let dir = results_dir();
-    if let Err(e) = std::fs::create_dir_all(&dir) {
-        eprintln!("warning: cannot create {}: {e}", dir.display());
-        return None;
-    }
+/// A table an experiment produced: printed aligned to the console and,
+/// when it has a [`Csv`], written under the results directory.
+#[derive(Debug, Clone, PartialEq)]
+pub struct Table {
+    /// Console column names.
+    pub columns: Vec<String>,
+    /// Console cells, one `Vec` per row.
+    pub rows: Vec<Vec<String>>,
+    /// The file holding the raw values, if the table has one.
+    pub csv: Option<Csv>,
+}
+
+/// A measured value as the results CSVs write it.
+pub(crate) fn f4(x: f64) -> String {
+    format!("{x:.4}")
+}
+
+/// Write a CSV file (header + lines) into `dir`, creating it if needed;
+/// returns the path written.
+pub(crate) fn write_csv(
+    dir: &Path,
+    name: &str,
+    header: &str,
+    lines: &[String],
+) -> std::io::Result<PathBuf> {
+    std::fs::create_dir_all(dir)?;
     let path = dir.join(name);
-    let mut out = match std::fs::File::create(&path) {
-        Ok(f) => std::io::BufWriter::new(f),
-        Err(e) => {
-            eprintln!("warning: cannot write {}: {e}", path.display());
-            return None;
-        }
-    };
-    let _ = writeln!(out, "{header}");
-    for r in rows {
-        let _ = writeln!(out, "{r}");
+    let mut out = std::io::BufWriter::new(std::fs::File::create(&path)?);
+    writeln!(out, "{header}")?;
+    for line in lines {
+        writeln!(out, "{line}")?;
     }
-    let _ = out.flush();
-    Some(path)
+    out.flush()?;
+    Ok(path)
 }
 
 /// Print an aligned table: a header row then data rows, column widths fit
 /// to content.
-pub fn print_table(header: &[&str], rows: &[Vec<String>]) {
+pub(crate) fn print_table(header: &[&str], rows: &[Vec<String>]) {
     let cols = header.len();
     let mut widths: Vec<usize> = header.iter().map(|h| h.len()).collect();
     for row in rows {
@@ -68,14 +82,10 @@ mod tests {
 
     #[test]
     fn csv_is_written() {
-        std::env::set_var(
-            "SCHEDINSPECTOR_RESULTS",
-            std::env::temp_dir().join("si-results"),
-        );
-        let p = write_csv("test.csv", "a,b", &["1,2".into(), "3,4".into()]).unwrap();
+        let dir = std::env::temp_dir().join(format!("si-results-{}", std::process::id()));
+        let p = write_csv(&dir, "test.csv", "a,b", &["1,2".into(), "3,4".into()]).unwrap();
         let text = std::fs::read_to_string(&p).unwrap();
         assert_eq!(text, "a,b\n1,2\n3,4\n");
-        std::fs::remove_file(p).ok();
-        std::env::remove_var("SCHEDINSPECTOR_RESULTS");
+        std::fs::remove_dir_all(dir).ok();
     }
 }

@@ -395,22 +395,20 @@ impl Transport for FaultStream {
             self.stall_budget = ops.saturating_sub(1);
             return Err(io::Error::new(io::ErrorKind::WouldBlock, "injected stall"));
         }
-        if buf.len() > 1 && rng.chance(self.cfg.torn_read) {
-            // Shrink the destination window: bytes are delivered in full,
-            // just across more reads — a pure framing fault.
-            let len = rng.range_u64(1, (buf.len() - 1) as u64) as usize;
-            return match self.inner.read(&mut buf[..len]) {
-                Ok(n) => {
-                    self.record(FaultKind::TornRead { len });
-                    self.op += 1;
-                    Ok(n)
-                }
-                // A real timeout retries the same op coordinate later.
-                Err(e) => Err(e),
-            };
-        }
-        match self.inner.read(buf) {
+        // A torn read shrinks the destination window: bytes are delivered
+        // in full, just across more reads — a pure framing fault.
+        let torn = (buf.len() > 1 && rng.chance(self.cfg.torn_read))
+            .then(|| rng.range_u64(1, (buf.len() - 1) as u64) as usize);
+        let window = torn.unwrap_or(buf.len());
+        match self.inner.read(&mut buf[..window]) {
+            // The peer's close is not data. Whether the server gets to
+            // observe it before the harness shuts it down is timing, so it
+            // neither logs a fault nor consumes the op coordinate.
+            Ok(0) => Ok(0),
             Ok(n) => {
+                if let Some(len) = torn {
+                    self.record(FaultKind::TornRead { len });
+                }
                 self.op += 1;
                 Ok(n)
             }

@@ -1,92 +1,69 @@
-//! Integration test: the paper's §2.1 motivating example (Table 1),
-//! reconstructed end-to-end through the public API — workload jobs, the
-//! SJF policy, the simulator, and a scripted inspector.
+//! Integration test: the paper's §2.1 motivating example (Table 1), read
+//! off the rows the `experiments` crate regenerates it with — workload
+//! jobs, the SJF policy, the simulator, and a scripted inspector.
 
-use schedinspector::prelude::*;
-use simhpc::{InspectorHook, Observation};
+use experiments::paper::table1::{cases, Case, MIN};
 
-const MIN: f64 = 60.0;
-
-struct RejectFirst {
-    target: u64,
-    done: bool,
-}
-
-impl InspectorHook for RejectFirst {
-    fn inspect(&mut self, obs: &Observation) -> bool {
-        if !self.done && obs.job.id == self.target {
-            self.done = true;
-            return true;
-        }
-        false
-    }
-}
-
-fn job(id: u64, submit_min: f64, exe_min: f64, procs: u32) -> Job {
-    Job::new(id, submit_min * MIN, exe_min * MIN, exe_min * MIN, procs)
-}
-
-/// Case (b) of Fig. 1 — paper-exact numbers.
-fn case_b() -> Vec<Job> {
-    vec![
-        job(0, 0.0, 3.0, 2), // Jp (preliminary, excluded from metrics)
-        job(1, 0.0, 5.0, 4), // J0
-        job(2, 1.0, 3.0, 2), // J1
-    ]
-}
-
-fn metrics_excluding_jp(result: &SimResult) -> (f64, f64) {
-    let jobs: Vec<_> = result.outcomes.iter().filter(|o| o.id != 0).collect();
-    let wait = jobs.iter().map(|o| o.wait()).sum::<f64>() / jobs.len() as f64 / MIN;
-    let bsld = jobs.iter().map(|o| o.bsld()).sum::<f64>() / jobs.len() as f64;
-    (wait, bsld)
+/// Case (b) of Fig. 1 — paper-exact numbers — without and with the
+/// inspector.
+fn case_b() -> (Case, Case) {
+    let [_, _, base, inspected] = cases();
+    assert_eq!(base.name, "Case(b)-NoInspect");
+    assert_eq!(inspected.name, "Case(b)-Inspected");
+    (base, inspected)
 }
 
 #[test]
 fn case_b_without_inspector_matches_table1() {
-    let sim = Simulator::new(5, SimConfig::default());
-    let r = sim.run(&case_b(), &mut policies::Sjf);
-    let (wait, bsld) = metrics_excluding_jp(&r);
+    let (base, _) = case_b();
     // Table 1: wait (3+7)/2 = 5; bsld (1.6 + 3.33)/2 ≈ 2.47.
-    assert!((wait - 5.0).abs() < 1e-9, "wait {wait}");
+    assert!((base.wait() - 5.0).abs() < 1e-9, "wait {}", base.wait());
     assert!(
-        (bsld - (1.6 + 10.0 / 3.0) / 2.0).abs() < 1e-9,
-        "bsld {bsld}"
+        (base.bsld() - (1.6 + 10.0 / 3.0) / 2.0).abs() < 1e-9,
+        "bsld {}",
+        base.bsld()
     );
+    assert_eq!(base.result.rejections, 0);
 }
 
 #[test]
 fn case_b_with_inspector_matches_table1() {
-    let sim = Simulator::new(5, SimConfig::default());
-    let mut hook = RejectFirst {
-        target: 1,
-        done: false,
-    };
-    let r = sim.run_inspected(&case_b(), &mut policies::Sjf, &mut hook);
-    let (wait, bsld) = metrics_excluding_jp(&r);
+    let (_, inspected) = case_b();
     // Table 1: wait (4+0)/2 = 2; bsld (1.8+1)/2 = 1.4.
-    assert!((wait - 2.0).abs() < 1e-9, "wait {wait}");
-    assert!((bsld - 1.4).abs() < 1e-9, "bsld {bsld}");
-    assert_eq!(r.rejections, 1);
+    assert!(
+        (inspected.wait() - 2.0).abs() < 1e-9,
+        "wait {}",
+        inspected.wait()
+    );
+    assert!(
+        (inspected.bsld() - 1.4).abs() < 1e-9,
+        "bsld {}",
+        inspected.bsld()
+    );
+    assert_eq!(inspected.result.rejections, 1);
 }
 
 #[test]
 fn case_b_exact_timeline() {
-    let sim = Simulator::new(5, SimConfig::default());
-    let r = sim.run(&case_b(), &mut policies::Sjf);
-    let start = |id: u64| r.outcomes.iter().find(|o| o.id == id).unwrap().start / MIN;
-    assert_eq!(start(0), 0.0, "Jp starts immediately");
-    assert_eq!(start(1), 3.0, "J0 waits for Jp to release nodes");
-    assert_eq!(start(2), 8.0, "J1 waits for J0 (committed selection)");
-
-    let mut hook = RejectFirst {
-        target: 1,
-        done: false,
+    let (base, inspected) = case_b();
+    let start = |case: &Case, id: u64| {
+        let outcomes = &case.result.outcomes;
+        outcomes.iter().find(|o| o.id == id).unwrap().start / MIN
     };
-    let r = sim.run_inspected(&case_b(), &mut policies::Sjf, &mut hook);
-    let start = |id: u64| r.outcomes.iter().find(|o| o.id == id).unwrap().start / MIN;
-    assert_eq!(start(2), 1.0, "after the rejection, J1 runs at its arrival");
-    assert_eq!(start(1), 4.0, "J0 runs when J1's nodes free up");
+    assert_eq!(start(&base, 0), 0.0, "Jp starts immediately");
+    assert_eq!(start(&base, 1), 3.0, "J0 waits for Jp to release nodes");
+    assert_eq!(
+        start(&base, 2),
+        8.0,
+        "J1 waits for J0 (committed selection)"
+    );
+
+    assert_eq!(
+        start(&inspected, 2),
+        1.0,
+        "after the rejection, J1 runs at its arrival"
+    );
+    assert_eq!(start(&inspected, 1), 4.0, "J0 runs when J1's nodes free up");
 }
 
 /// The rejection must leave the machine idle in between — check that the
@@ -94,13 +71,8 @@ fn case_b_exact_timeline() {
 /// argues.
 #[test]
 fn rejection_cost_is_visible_in_utilization() {
-    let sim = Simulator::new(5, SimConfig::default());
-    let base = sim.run(&case_b(), &mut policies::Sjf);
-    let mut hook = RejectFirst {
-        target: 1,
-        done: false,
-    };
-    let inspected = sim.run_inspected(&case_b(), &mut policies::Sjf, &mut hook);
+    let (base, inspected) = case_b();
+    let (base, inspected) = (base.result, inspected.result);
     // Here the inspected schedule is strictly shorter, so util improves;
     // both must stay in (0, 1].
     assert!(base.util() > 0.0 && base.util() <= 1.0);
