@@ -752,6 +752,16 @@ mod tests {
                     }
                 });
             }
+            // Stops the writers however this closure is left: the scope
+            // joins them before a failed assertion below can propagate, and
+            // a writer nobody stops spins forever.
+            struct StopOnDrop<'a>(&'a AtomicBool);
+            impl Drop for StopOnDrop<'_> {
+                fn drop(&mut self) {
+                    self.0.store(true, Ordering::Relaxed);
+                }
+            }
+            let _stop = StopOnDrop(&stop);
             // At least 200 dumps, and keep dumping until a writer has run:
             // on a loaded host 200 dumps can finish before any is scheduled.
             let mut dumps = 0;
@@ -768,7 +778,6 @@ mod tests {
                     assert_eq!(rec.end_ns, t ^ 5, "torn end_ns");
                 }
             }
-            stop.store(true, Ordering::Relaxed);
         });
         assert!(r.stats().recorded > 0);
     }

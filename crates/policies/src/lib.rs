@@ -20,6 +20,7 @@
 //! ```
 
 mod f1;
+mod memo;
 mod registry;
 mod simple;
 mod slurm;

@@ -65,7 +65,7 @@ impl PolicyKind {
             PolicyKind::Sjf => Box::new(Sjf),
             PolicyKind::Saf => Box::new(Saf),
             PolicyKind::Srf => Box::new(Srf),
-            PolicyKind::F1 => Box::new(F1),
+            PolicyKind::F1 => Box::new(F1::default()),
         }
     }
 }

@@ -40,7 +40,7 @@ mod state;
 pub use cluster::{Cluster, F64Ord, RunningJob};
 pub use config::SimConfig;
 pub use metrics::{JobOutcome, Metric, SimResult, BSLD_THRESHOLD};
-pub use policy::{InspectorHook, NoInspector, PolicyContext, SchedulingPolicy};
+pub use policy::{Best, InspectorHook, NoInspector, PolicyContext, SchedulingPolicy};
 pub use sim::{simulate, simulate_source, Simulator};
 pub use state::{Observation, QueueEntry};
 

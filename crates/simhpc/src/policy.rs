@@ -16,6 +16,41 @@ pub struct PolicyContext {
     pub free_procs: u32,
 }
 
+/// The priority-heuristic rule, spelled once: of the candidates offered,
+/// the **lowest score** wins and ties go to the **smaller job id** (the
+/// paper's convention). The default [`SchedulingPolicy::select`], the
+/// simulator's backfill pass and every `select` override that still picks
+/// by score accumulate through this.
+///
+/// The first candidate offered is always taken; a later one replaces it
+/// only by comparing lower, so a NaN score never displaces anything.
+#[derive(Debug, Clone, Copy, Default)]
+pub struct Best {
+    /// `(position, score, id)` of the leading candidate.
+    lead: Option<(usize, f64, u64)>,
+}
+
+impl Best {
+    /// Offer the candidate at `pos` (whatever the caller's positions
+    /// index) with its `score` and job `id`.
+    #[inline]
+    pub fn offer(&mut self, pos: usize, score: f64, id: u64) {
+        let better = match self.lead {
+            None => true,
+            Some((_, s, i)) => score < s || (score == s && id < i),
+        };
+        if better {
+            self.lead = Some((pos, score, id));
+        }
+    }
+
+    /// Position of the winning candidate; `None` if none was offered.
+    #[inline]
+    pub fn pos(&self) -> Option<usize> {
+        self.lead.map(|(pos, _, _)| pos)
+    }
+}
+
 /// A base batch-job scheduling policy (Table 3).
 ///
 /// Policies are *priority heuristics*: at each scheduling point the waiting
@@ -37,17 +72,12 @@ pub trait SchedulingPolicy {
     /// (e.g. an RLScheduler-style softmax selector) override this.
     fn select(&mut self, queue: &[usize], jobs: &[Job], ctx: &PolicyContext) -> usize {
         debug_assert!(!queue.is_empty());
-        let mut best = 0usize;
-        let mut best_key = (f64::INFINITY, u64::MAX);
+        let mut best = Best::default();
         for (pos, &jidx) in queue.iter().enumerate() {
             let job = &jobs[jidx];
-            let key = (self.score(job, ctx), job.id);
-            if key.0 < best_key.0 || (key.0 == best_key.0 && key.1 < best_key.1) {
-                best_key = key;
-                best = pos;
-            }
+            best.offer(pos, self.score(job, ctx), job.id);
         }
-        best
+        best.pos().unwrap_or(0)
     }
 
     /// Notification that a job started executing at `now`.
@@ -84,6 +114,23 @@ impl<F: FnMut(&Observation) -> bool> InspectorHook for F {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn best_is_lowest_score_then_smaller_id() {
+        assert_eq!(Best::default().pos(), None);
+        let mut best = Best::default();
+        for (pos, (score, id)) in [(5.0, 9), (2.0, 7), (2.0, 3), (2.0, 4), (3.0, 1)]
+            .into_iter()
+            .enumerate()
+        {
+            best.offer(pos, score, id);
+        }
+        assert_eq!(best.pos(), Some(2));
+        // An infinite score is still a candidate when it is the only one.
+        let mut only = Best::default();
+        only.offer(4, f64::INFINITY, u64::MAX);
+        assert_eq!(only.pos(), Some(4));
+    }
 
     #[test]
     fn closure_is_an_inspector() {

@@ -21,7 +21,7 @@ use crate::backfill::{can_backfill, count_backfillable};
 use crate::cluster::Cluster;
 use crate::config::SimConfig;
 use crate::metrics::{JobOutcome, SimResult};
-use crate::policy::{InspectorHook, NoInspector, PolicyContext, SchedulingPolicy};
+use crate::policy::{Best, InspectorHook, NoInspector, PolicyContext, SchedulingPolicy};
 use crate::state::{Observation, QueueEntry};
 
 /// A reusable simulator bound to a machine size and configuration.
@@ -335,18 +335,14 @@ impl<'a> Sim<'a> {
                 total_procs: self.cluster.total_procs(),
                 free_procs: self.cluster.free_procs(),
             };
-            let mut best: Option<(usize, (f64, u64))> = None;
+            let mut best = Best::default();
             for (pos, &jidx) in self.queue.iter().enumerate() {
                 let j = &self.jobs[jidx];
-                if !can_backfill(j, self.now, &self.cluster, t_res, extra) {
-                    continue;
-                }
-                let key = (policy.score(j, &ctx), j.id);
-                if best.is_none_or(|(_, bk)| key.0 < bk.0 || (key.0 == bk.0 && key.1 < bk.1)) {
-                    best = Some((pos, key));
+                if can_backfill(j, self.now, &self.cluster, t_res, extra) {
+                    best.offer(pos, policy.score(j, &ctx), j.id);
                 }
             }
-            let Some((pos, _)) = best else { return };
+            let Some(pos) = best.pos() else { return };
             let jidx = self.queue.swap_remove(pos);
             let job = self.jobs[jidx];
             let rejections = self.rejections[jidx];
