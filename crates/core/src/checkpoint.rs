@@ -16,28 +16,22 @@
 //! * the trace, features, and config — rebuilt deterministically from
 //!   the same CLI arguments / builder inputs on resume.
 //!
-//! The text format composes the existing exact-roundtrip encodings
-//! (`tinynn-mlp v1`, `tinynn-adam v1`) under one header:
-//!
-//! ```text
-//! schedinspector-checkpoint v1
-//! epochs_done 3
-//! seed 42
-//! policy
-//! <tinynn-mlp v1 …>
-//! critic
-//! <tinynn-mlp v1 …>
-//! pi_opt
-//! <tinynn-adam v1 …>
-//! vf_opt
-//! <tinynn-adam v1 …>
-//! ```
+//! The text is a `schedinspector-checkpoint v1` document (DESIGN.md §4
+//! "Model documents"): this module is its schema over [`tinynn::text`] —
+//! `epochs_done`, `seed`, then the four exact-roundtrip nested documents
+//! (`policy` and `critic`, a `tinynn-mlp v1` each; `pi_opt` and `vf_opt`,
+//! a `tinynn-adam v1` each), each behind its marker and read in place on
+//! the same reader.
 
-use rlcore::{BinaryPolicy, PpoTrainer, ValueNet};
+use std::fmt::Write as _;
+
+use rlcore::{BinaryPolicy, PpoConfig, PpoTrainer, ValueNet};
+use tinynn::text::document;
 use tinynn::{Adam, Mlp};
 
+use crate::model_io::ModelIoError;
+
 const HEADER: &str = "schedinspector-checkpoint v1";
-const SECTIONS: [&str; 4] = ["policy", "critic", "pi_opt", "vf_opt"];
 
 /// A parsed training checkpoint.
 #[derive(Debug, Clone)]
@@ -70,112 +64,73 @@ impl Checkpoint {
         }
     }
 
+    /// Rebuild the PPO trainer this checkpoint was taken from. `seed` is
+    /// the seed of the run installing it: a checkpoint of another run
+    /// would continue a different sequence of episodes.
+    pub fn into_ppo(self, seed: u64) -> Result<PpoTrainer, String> {
+        if self.seed != seed {
+            return Err(format!(
+                "checkpoint was trained with seed {}, this run has seed {seed}",
+                self.seed
+            ));
+        }
+        PpoTrainer::from_parts(
+            self.policy,
+            self.critic,
+            PpoConfig::default(),
+            self.pi_opt,
+            self.vf_opt,
+        )
+    }
+
     /// Serialize. Exact: `from_text(to_text(c))` reproduces every bit,
     /// and equal trainer states produce byte-equal text.
     pub fn to_text(&self) -> String {
         let mut out = String::new();
-        out.push_str(HEADER);
-        out.push('\n');
-        out.push_str(&format!("epochs_done {}\n", self.epochs_done));
-        out.push_str(&format!("seed {}\n", self.seed));
-        for (name, body) in SECTIONS.iter().zip([
-            self.policy.mlp().to_text(),
-            self.critic.mlp().to_text(),
-            self.pi_opt.to_text(),
-            self.vf_opt.to_text(),
-        ]) {
-            out.push_str(name);
-            out.push('\n');
-            out.push_str(&body);
-        }
+        let _ = writeln!(out, "{HEADER}");
+        let _ = writeln!(out, "epochs_done {}", self.epochs_done);
+        let _ = writeln!(out, "seed {}", self.seed);
+        out.push_str("policy\n");
+        self.policy.mlp().write_text(&mut out);
+        out.push_str("critic\n");
+        self.critic.mlp().write_text(&mut out);
+        out.push_str("pi_opt\n");
+        self.pi_opt.write_text(&mut out);
+        out.push_str("vf_opt\n");
+        self.vf_opt.write_text(&mut out);
         out
     }
 
     /// Parse checkpoint text.
-    pub fn from_text(text: &str) -> Result<Checkpoint, String> {
-        let mut lines = text.lines();
-        if lines.next().map(str::trim) != Some(HEADER) {
-            return Err(format!("bad checkpoint header (expected {HEADER:?})"));
-        }
-        let epochs_done: usize = lines
-            .next()
-            .and_then(|l| l.strip_prefix("epochs_done "))
-            .ok_or("missing epochs_done line")?
-            .trim()
-            .parse()
-            .map_err(|e| format!("bad epochs_done: {e}"))?;
-        let seed: u64 = lines
-            .next()
-            .and_then(|l| l.strip_prefix("seed "))
-            .ok_or("missing seed line")?
-            .trim()
-            .parse()
-            .map_err(|e| format!("bad seed: {e}"))?;
-
-        // Split the rest into the four named sections. Section marker
-        // lines are bare names, which never collide with the payload
-        // formats (every payload line starts with a known keyword and
-        // at least one argument).
-        let mut bodies: Vec<String> = Vec::new();
-        let mut current: Option<String> = None;
-        let mut expected = SECTIONS.iter();
-        for line in lines {
-            if SECTIONS.contains(&line.trim()) {
-                let want = expected
-                    .next()
-                    .ok_or_else(|| format!("unexpected extra section {:?}", line.trim()))?;
-                if line.trim() != *want {
-                    return Err(format!(
-                        "section {:?} out of order (expected {want:?})",
-                        line.trim()
-                    ));
-                }
-                if let Some(done) = current.take() {
-                    bodies.push(done);
-                }
-                current = Some(String::new());
-            } else if let Some(body) = current.as_mut() {
-                body.push_str(line);
-                body.push('\n');
-            } else if !line.trim().is_empty() {
-                return Err(format!("unexpected content before sections: {line:?}"));
-            }
-        }
-        if let Some(done) = current.take() {
-            bodies.push(done);
-        }
-        if bodies.len() != SECTIONS.len() {
-            return Err(format!(
-                "expected {} sections, found {}",
-                SECTIONS.len(),
-                bodies.len()
-            ));
-        }
-
-        let policy_net = Mlp::from_text(&bodies[0]).map_err(|e| format!("policy section: {e}"))?;
-        let policy =
-            BinaryPolicy::from_mlp(policy_net).map_err(|e| format!("policy section: {e}"))?;
-        let critic_net = Mlp::from_text(&bodies[1]).map_err(|e| format!("critic section: {e}"))?;
-        let critic = ValueNet::from_mlp(critic_net).map_err(|e| format!("critic section: {e}"))?;
-        let pi_opt = Adam::from_text(&bodies[2], policy.param_count())
-            .map_err(|e| format!("pi_opt section: {e}"))?;
-        let vf_opt = Adam::from_text(&bodies[3], critic.param_count())
-            .map_err(|e| format!("vf_opt section: {e}"))?;
-        Ok(Checkpoint {
-            epochs_done,
-            seed,
-            policy,
-            critic,
-            pi_opt,
-            vf_opt,
+    pub fn from_text(text: &str) -> Result<Checkpoint, ModelIoError> {
+        document(text, |r| {
+            r.marker(HEADER)?;
+            let epochs_done = r.parse("epochs_done")?;
+            let seed = r.parse("seed")?;
+            r.marker("policy")?;
+            let policy = BinaryPolicy::from_mlp(Mlp::read_text(r)?).map_err(|e| r.err(e))?;
+            r.marker("critic")?;
+            let critic = ValueNet::from_mlp(Mlp::read_text(r)?).map_err(|e| r.err(e))?;
+            r.marker("pi_opt")?;
+            let pi_opt = Adam::read_text(r, policy.param_count())?;
+            r.marker("vf_opt")?;
+            let vf_opt = Adam::read_text(r, critic.param_count())?;
+            Ok(Checkpoint {
+                epochs_done,
+                seed,
+                policy,
+                critic,
+                pi_opt,
+                vf_opt,
+            })
         })
+        .map_err(ModelIoError::from)
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use rlcore::PpoConfig;
 
     #[test]
     fn text_roundtrips_bit_identically() {
@@ -190,19 +145,5 @@ mod tests {
         let (pi, vf) = ppo.optimizers();
         assert_eq!(&back.pi_opt, pi);
         assert_eq!(&back.vf_opt, vf);
-    }
-
-    #[test]
-    fn rejects_malformed_text() {
-        assert!(Checkpoint::from_text("").is_err());
-        assert!(Checkpoint::from_text("wrong header\n").is_err());
-        let ppo = PpoTrainer::new(5, PpoConfig::default(), 1);
-        let text = Checkpoint::from_ppo(&ppo, 0, 1).to_text();
-        // Drop a section marker.
-        let broken = text.replacen("vf_opt\n", "", 1);
-        assert!(Checkpoint::from_text(&broken).is_err());
-        // Corrupt a float count inside the policy.
-        let broken = text.replacen("layers 4", "layers 9", 1);
-        assert!(Checkpoint::from_text(&broken).is_err());
     }
 }

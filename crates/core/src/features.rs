@@ -31,6 +31,30 @@ pub enum FeatureMode {
     Native,
 }
 
+impl FeatureMode {
+    /// Name as written in model files and result tables.
+    pub fn name(&self) -> &'static str {
+        match self {
+            FeatureMode::Manual => "manual",
+            FeatureMode::Compacted => "compacted",
+            FeatureMode::Native => "native",
+        }
+    }
+}
+
+impl std::str::FromStr for FeatureMode {
+    type Err = String;
+
+    fn from_str(s: &str) -> Result<Self, Self::Err> {
+        match s {
+            "manual" => Ok(FeatureMode::Manual),
+            "compacted" => Ok(FeatureMode::Compacted),
+            "native" => Ok(FeatureMode::Native),
+            other => Err(format!("unknown feature mode {other:?}")),
+        }
+    }
+}
+
 /// Normalization constants, derived from the trace being scheduled.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Normalizer {

@@ -1,22 +1,25 @@
 //! Persistence of trained inspectors.
 //!
-//! A saved model records the policy weights (tinynn text format) plus the
-//! feature configuration it was trained with, so a loaded inspector is
-//! bit-identical in behavior. The format is line-oriented text, stable and
-//! diff-friendly.
+//! A saved model records the feature configuration it was trained with
+//! and the policy network, so a loaded inspector is bit-identical in
+//! behavior. The file is a `schedinspector-model v1` document (DESIGN.md
+//! §4 "Model documents"): this module is its schema over
+//! [`tinynn::text`] — a four-field preamble, then the network read in
+//! place on the same reader.
 //!
-//! Errors are typed ([`ModelIoError`]) and parse failures carry the
-//! 1-based line number they were detected at, so a corrupt checkpoint is
-//! reported as `model.txt: line 4: ...` rather than an anonymous string.
+//! Errors are typed ([`ModelIoError`]) and a parse failure carries the
+//! 1-based line it was detected at, at any depth, so a corrupt model is
+//! reported as `model.txt: line 12: ...` rather than an anonymous string.
 
+use std::fmt::Write as _;
 use std::path::{Path, PathBuf};
 
 use rlcore::BinaryPolicy;
-use simhpc::Metric;
+use tinynn::text::{document, TextError};
 use tinynn::Mlp;
 
 use crate::agent::SchedInspector;
-use crate::features::{FeatureBuilder, FeatureMode, Normalizer};
+use crate::features::{FeatureBuilder, Normalizer};
 
 const HEADER: &str = "schedinspector-model v1";
 
@@ -67,28 +70,12 @@ impl std::error::Error for ModelIoError {
     }
 }
 
-/// A parse error at 1-based line `line` (internal shorthand).
-fn parse_err(line: usize, msg: impl Into<String>) -> ModelIoError {
-    ModelIoError::Parse {
-        line,
-        msg: msg.into(),
-    }
-}
-
-fn mode_name(m: FeatureMode) -> &'static str {
-    match m {
-        FeatureMode::Manual => "manual",
-        FeatureMode::Compacted => "compacted",
-        FeatureMode::Native => "native",
-    }
-}
-
-fn mode_parse(s: &str) -> Result<FeatureMode, String> {
-    match s {
-        "manual" => Ok(FeatureMode::Manual),
-        "compacted" => Ok(FeatureMode::Compacted),
-        "native" => Ok(FeatureMode::Native),
-        other => Err(format!("unknown feature mode {other:?}")),
+impl From<TextError> for ModelIoError {
+    fn from(e: TextError) -> Self {
+        ModelIoError::Parse {
+            line: e.line,
+            msg: e.msg,
+        }
     }
 }
 
@@ -97,96 +84,47 @@ pub fn to_text(inspector: &SchedInspector) -> String {
     let f = &inspector.features;
     let n = &f.norm;
     let mut out = String::new();
-    out.push_str(HEADER);
-    out.push('\n');
-    out.push_str(&format!("metric {}\n", f.metric.name()));
-    out.push_str(&format!("features {}\n", mode_name(f.mode)));
-    out.push_str(&format!(
-        "norm {} {} {} {} {}\n",
+    let _ = writeln!(out, "{HEADER}");
+    let _ = writeln!(out, "metric {}", f.metric.name());
+    let _ = writeln!(out, "features {}", f.mode.name());
+    let _ = writeln!(
+        out,
+        "norm {} {} {} {} {}",
         n.max_estimate, n.total_procs, n.max_wait, n.max_interval, n.max_rejections
-    ));
+    );
     out.push_str("policy\n");
-    out.push_str(&inspector.policy_mlp_text());
+    inspector.policy.mlp().write_text(&mut out);
     out
 }
 
 /// Parse an inspector from the model text format.
 pub fn from_text(text: &str) -> Result<SchedInspector, ModelIoError> {
-    let mut lines = text.lines();
-    // Fixed five-line preamble; line numbers are 1-based for messages.
-    let header = lines
-        .next()
-        .ok_or_else(|| parse_err(1, "empty model file"))?;
-    if header.trim() != HEADER {
-        return Err(parse_err(1, format!("bad header {header:?}")));
-    }
-    let metric: Metric = lines
-        .next()
-        .and_then(|l| l.strip_prefix("metric "))
-        .ok_or_else(|| parse_err(2, "missing metric line"))?
-        .trim()
-        .parse()
-        .map_err(|e: String| parse_err(2, e))?;
-    let mode = mode_parse(
-        lines
-            .next()
-            .and_then(|l| l.strip_prefix("features "))
-            .ok_or_else(|| parse_err(3, "missing features line"))?
-            .trim(),
-    )
-    .map_err(|e| parse_err(3, e))?;
-    let norm_line = lines
-        .next()
-        .and_then(|l| l.strip_prefix("norm "))
-        .ok_or_else(|| parse_err(4, "missing norm line"))?;
-    let vals: Vec<f64> = norm_line
-        .split_whitespace()
-        .map(|t| {
-            t.parse::<f64>()
-                .map_err(|e| parse_err(4, format!("bad norm value: {e}")))
-        })
-        .collect::<Result<_, _>>()?;
-    if vals.len() != 5 {
-        return Err(parse_err(
-            4,
-            format!("norm line: expected 5 values, got {}", vals.len()),
-        ));
-    }
-    let norm = Normalizer {
-        max_estimate: vals[0],
-        total_procs: vals[1] as u32,
-        max_wait: vals[2],
-        max_interval: vals[3],
-        max_rejections: vals[4] as u32,
-    };
-    let marker = lines
-        .next()
-        .ok_or_else(|| parse_err(5, "missing policy marker"))?;
-    if marker.trim() != "policy" {
-        return Err(parse_err(
-            5,
-            format!("expected 'policy' marker, got {marker:?}"),
-        ));
-    }
-    // The policy payload is the whole remainder; tinynn's parser does not
-    // track lines, so its errors are attributed to the section start.
-    const POLICY_START: usize = 6;
-    let rest: String = lines.collect::<Vec<_>>().join("\n");
-    let mlp = Mlp::from_text(&rest)
-        .map_err(|e| parse_err(POLICY_START, format!("policy section: {e}")))?;
-    let features = FeatureBuilder { mode, metric, norm };
-    if mlp.input_dim() != features.dim() {
-        return Err(parse_err(
-            POLICY_START,
-            format!(
+    document(text, |r| {
+        r.marker(HEADER)?;
+        let metric = r.parse("metric")?;
+        let mode = r.parse("features")?;
+        let norm: Vec<f64> = r.floats("norm", 5)?;
+        let norm = Normalizer {
+            max_estimate: norm[0],
+            total_procs: norm[1] as u32,
+            max_wait: norm[2],
+            max_interval: norm[3],
+            max_rejections: norm[4] as u32,
+        };
+        r.marker("policy")?;
+        let mlp = Mlp::read_text(r)?;
+        let features = FeatureBuilder { mode, metric, norm };
+        if mlp.input_dim() != features.dim() {
+            return Err(r.err(format!(
                 "policy input dim {} does not match feature dim {}",
                 mlp.input_dim(),
                 features.dim()
-            ),
-        ));
-    }
-    let policy = BinaryPolicy::from_mlp(mlp).map_err(|e| parse_err(POLICY_START, e))?;
-    Ok(SchedInspector::new(policy, features))
+            )));
+        }
+        let policy = BinaryPolicy::from_mlp(mlp).map_err(|e| r.err(e))?;
+        Ok(SchedInspector::new(policy, features))
+    })
+    .map_err(ModelIoError::from)
 }
 
 /// Save an inspector to a file.
@@ -206,16 +144,11 @@ pub fn load(path: &Path) -> Result<SchedInspector, ModelIoError> {
     from_text(&text)
 }
 
-impl SchedInspector {
-    fn policy_mlp_text(&self) -> String {
-        self.policy.mlp().to_text()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use simhpc::Observation;
+    use crate::features::FeatureMode;
+    use simhpc::{Metric, Observation};
     use workload::Job;
 
     fn inspector() -> SchedInspector {
@@ -262,34 +195,6 @@ mod tests {
         let back = load(&path).unwrap();
         assert_eq!(insp.prob_reject(&obs()), back.prob_reject(&obs()));
         std::fs::remove_file(&path).ok();
-    }
-
-    #[test]
-    fn rejects_corrupt_models() {
-        assert!(from_text("").is_err());
-        assert!(from_text("wrong\n").is_err());
-        let text = to_text(&inspector()).replace("metric bsld", "metric nope");
-        assert!(from_text(&text).is_err());
-    }
-
-    #[test]
-    fn parse_errors_carry_line_numbers() {
-        assert_eq!(from_text("").unwrap_err().line(), Some(1));
-        assert_eq!(from_text("wrong\n").unwrap_err().line(), Some(1));
-        let good = to_text(&inspector());
-        let cases = [
-            ("metric bsld", "metric nope", 2),
-            ("features manual", "feature manual", 3),
-            ("norm ", "norms ", 4),
-            ("policy\n", "policies\n", 5),
-            ("tinynn-mlp v1", "tinynn-mlp v9", 6),
-        ];
-        for (from, to, line) in cases {
-            let bad = good.replace(from, to);
-            let err = from_text(&bad).unwrap_err();
-            assert_eq!(err.line(), Some(line), "corrupting {from:?}: {err}");
-            assert!(err.to_string().starts_with(&format!("line {line}:")));
-        }
     }
 
     #[test]

@@ -663,7 +663,8 @@ impl Trainer {
     /// `epochs_done..` produces results bit-identical to a run that was
     /// never interrupted.
     pub fn restore(&mut self, text: &str) -> Result<usize, TrainError> {
-        let ck = crate::checkpoint::Checkpoint::from_text(text).map_err(TrainError::Checkpoint)?;
+        let ck = crate::checkpoint::Checkpoint::from_text(text)
+            .map_err(|e| TrainError::Checkpoint(e.to_string()))?;
         let epochs_done = ck.epochs_done;
         self.install_checkpoint(ck)?;
         // The trainer RNG has no serializable state; replay the exact
@@ -691,12 +692,6 @@ impl Trainer {
         &mut self,
         ck: crate::checkpoint::Checkpoint,
     ) -> Result<(), TrainError> {
-        if ck.seed != self.config.seed {
-            return Err(TrainError::Checkpoint(format!(
-                "checkpoint was trained with seed {}, trainer has seed {}",
-                ck.seed, self.config.seed
-            )));
-        }
         if ck.policy.input_dim() != self.features.dim() {
             return Err(TrainError::Checkpoint(format!(
                 "checkpoint policy takes {} features, trainer builds {}",
@@ -704,14 +699,9 @@ impl Trainer {
                 self.features.dim()
             )));
         }
-        self.ppo = PpoTrainer::from_parts(
-            ck.policy,
-            ck.critic,
-            PpoConfig::default(),
-            ck.pi_opt,
-            ck.vf_opt,
-        )
-        .map_err(TrainError::Checkpoint)?;
+        self.ppo = ck
+            .into_ppo(self.config.seed)
+            .map_err(TrainError::Checkpoint)?;
         Ok(())
     }
 

@@ -41,7 +41,7 @@ use std::time::{Duration, Instant};
 use inspector::{Checkpoint, EpisodeSummary, RolloutReport, Trainer, TrainingHistory};
 use obs::trace::hex16;
 use obs::Telemetry;
-use rlcore::{average_ppo, average_stats, MergeShard, PpoConfig, PpoTrainer, UpdateStats};
+use rlcore::{average_ppo, average_stats, MergeShard, PpoTrainer, UpdateStats};
 use serve::{AcceptPolicy, DirectAccept, Transport};
 use store::RunStore;
 
@@ -522,21 +522,9 @@ impl Scheduler<'_> {
 
 /// Parse and validate a decentralized replica shipped in `shard_done`.
 fn parse_replica(r: &Replica, seed: u64) -> Result<(PpoTrainer, UpdateStats), DistError> {
-    let ck = Checkpoint::from_text(&r.checkpoint).map_err(DistError::Train)?;
-    if ck.seed != seed {
-        return Err(DistError::Train(format!(
-            "replica trained with seed {}, coordinator has {seed}",
-            ck.seed
-        )));
-    }
-    let ppo = PpoTrainer::from_parts(
-        ck.policy,
-        ck.critic,
-        PpoConfig::default(),
-        ck.pi_opt,
-        ck.vf_opt,
-    )
-    .map_err(DistError::Train)?;
+    let ck = Checkpoint::from_text(&r.checkpoint)
+        .map_err(|e| DistError::Train(format!("replica checkpoint: {e}")))?;
+    let ppo = ck.into_ppo(seed).map_err(DistError::Train)?;
     Ok((ppo, r.stats))
 }
 

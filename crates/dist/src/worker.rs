@@ -166,7 +166,7 @@ fn run_shard<T: Transport>(
     conn: &mut T,
     job: ShardJob<'_>,
 ) -> Result<u64, DistError> {
-    let ck = Checkpoint::from_text(job.checkpoint).map_err(DistError::Train)?;
+    let ck = Checkpoint::from_text(job.checkpoint).map_err(|e| DistError::Train(e.to_string()))?;
     trainer
         .install_checkpoint(ck)
         .map_err(|e| DistError::Train(e.to_string()))?;

@@ -13,8 +13,11 @@ use std::time::Duration;
 use common::{make_trainer, EPOCHS};
 use dist::protocol::{
     decode_batch, decode_trajectory, encode_trajectory, parse_message, write_message, Message,
+    Replica,
 };
-use dist::{spawn_local_workers, Coordinator, DistConfig, FrameKind, MergeMode, ProtoError};
+use dist::{
+    spawn_local_workers, Coordinator, DistConfig, DistError, FrameKind, MergeMode, ProtoError,
+};
 use obs::Telemetry;
 use proptest::prelude::*;
 use rlcore::{Step, Trajectory};
@@ -216,6 +219,72 @@ fn live_coordinator_sheds_junk_connections_and_still_trains() {
         "junk traffic must not perturb training"
     );
     assert_eq!(report.episodes, (EPOCHS * common::BATCH) as u64);
+}
+
+/// A worker that joins honestly and then answers its shard with a replica
+/// whose checkpoint claims 2^64 - 1 layers: the coordinator parses every
+/// replica it is sent, in either merge mode, on its scheduler thread — the
+/// run must end in a typed error naming the line, not unwind.
+#[test]
+fn live_coordinator_refuses_a_hostile_replica_without_unwinding() {
+    use std::io::{BufRead, BufReader};
+
+    let seed = 42;
+    let mut trainer = make_trainer(synthetic::generate(&profiles::SDSC_SP2, 72, 7), seed);
+    let coordinator = Coordinator::bind("127.0.0.1:0").expect("bind");
+    let addr = coordinator.addr();
+    let mut hello = String::new();
+    write_message(
+        &Message::Hello {
+            proto: dist::protocol::PROTO_VERSION,
+            input_dim: trainer.features().dim(),
+            seed,
+            world: trainer.world_digest(),
+        },
+        &mut hello,
+    );
+    let good = trainer.checkpoint_text(0);
+    let hostile = good.replacen("layers 4", "layers 18446744073709551615", 1);
+    assert_ne!(hostile, good);
+
+    let fake_worker = std::thread::spawn(move || {
+        let mut s = TcpStream::connect(addr).expect("connect");
+        s.write_all(hello.as_bytes()).expect("send hello");
+        let mut line = String::new();
+        BufReader::new(s.try_clone().expect("clone"))
+            .read_line(&mut line)
+            .expect("read the shard frame");
+        let Ok(Message::Shard { epoch, shard, .. }) = parse_message(line.trim_end()) else {
+            panic!("expected a shard frame, got {line:?}");
+        };
+        let mut done = String::new();
+        write_message(
+            &Message::ShardDone {
+                epoch,
+                shard,
+                episodes: 0,
+                replica: Some(Replica {
+                    checkpoint: hostile,
+                    stats: Default::default(),
+                }),
+            },
+            &mut done,
+        );
+        s.write_all(done.as_bytes()).expect("send shard_done");
+    });
+
+    let cfg = DistConfig {
+        shards: 1,
+        ..DistConfig::default()
+    };
+    let err = coordinator
+        .run(&mut trainer, &cfg, None, &Telemetry::disabled())
+        .expect_err("a replica that does not parse ends the run");
+    fake_worker.join().expect("fake worker");
+    match err {
+        DistError::Train(msg) => assert!(msg.contains("line "), "{msg}"),
+        other => panic!("expected DistError::Train, got {other}"),
+    }
 }
 
 /// An oversized line is rejected as `TooLong` — bounded memory, no hang.

@@ -43,11 +43,7 @@ impl Dim {
         match self {
             Dim::Policy => spec.policy_name().to_string(),
             Dim::Trace => spec.trace.clone(),
-            Dim::Features => match spec.features {
-                FeatureMode::Manual => "manual".to_string(),
-                FeatureMode::Compacted => "compacted".to_string(),
-                FeatureMode::Native => "native".to_string(),
-            },
+            Dim::Features => spec.features.name().to_string(),
             Dim::Reward => spec.reward.name().to_string(),
             Dim::Metric => spec.metric.name().to_string(),
         }

@@ -18,12 +18,15 @@
 //! the 64-bit trace id.
 //!
 //! Each ring slot is a block of plain `AtomicU64`s guarded by a
-//! sequence word (seqlock style): a writer claims a position with one
-//! `fetch_add`, marks the slot odd, stores the fields, and marks it
-//! even. A reader that observes an odd or changed sequence discards the
-//! slot — dumps are best-effort snapshots, never blocking writers.
+//! sequence word (seqlock style): a writer takes a position with one
+//! `fetch_add`, claims the slot by exchanging its sequence for an odd
+//! one, stores the fields, and marks it even. A writer that finds the
+//! slot held, or already passed by a later lap, drops its record rather
+//! than wait (counted with the overwrites: the ring was too small). A
+//! reader that observes an odd or changed sequence discards the slot —
+//! dumps are best-effort snapshots, never blocking writers.
 
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::atomic::{fence, AtomicU64, Ordering};
 use std::sync::Arc;
 
 /// The splitmix64 output finalizer on its own, for callers that fold
@@ -248,6 +251,26 @@ impl Slot {
             end_ns: AtomicU64::new(0),
         }
     }
+
+    /// Store a record's fields; the caller holds the claim.
+    fn fill(&self, rec: &SpanRecord) {
+        self.trace_id.store(rec.trace_id, Ordering::Relaxed);
+        self.span_id.store(rec.span_id, Ordering::Relaxed);
+        self.parent_id.store(rec.parent_id, Ordering::Relaxed);
+        let meta = rec.kind as u64 | ((rec.status as u64) << 8) | ((rec.shard as u64) << 32);
+        self.meta.store(meta, Ordering::Relaxed);
+        self.batch_seq.store(rec.batch_seq, Ordering::Relaxed);
+        self.generation
+            .store(rec.model_generation, Ordering::Relaxed);
+        self.start_ns.store(rec.start_ns, Ordering::Relaxed);
+        self.end_ns.store(rec.end_ns, Ordering::Relaxed);
+    }
+
+    /// End the claim on position `pos`. Release: a reader whose first
+    /// (acquire) load sees this `seq` sees every field stored before it.
+    fn publish(&self, pos: u64) {
+        self.seq.store(pos * 2 + 2, Ordering::Release);
+    }
 }
 
 /// One shard's flight-recorder ring.
@@ -264,24 +287,39 @@ impl Ring {
         }
     }
 
-    /// Wait-free write: claim a position, publish through the seqlock.
-    /// Returns true when the claimed position overwrote an older record.
-    fn record(&self, rec: &SpanRecord) -> bool {
+    /// Wait-free write: take the next position, claim its slot, fill it,
+    /// publish. `Some(overwrote)` when the record was published (`true`
+    /// when it replaced an older one); `None` when it was dropped because
+    /// a writer a lap away holds the slot or has already passed it.
+    fn record(&self, rec: &SpanRecord) -> Option<bool> {
         let pos = self.head.fetch_add(1, Ordering::Relaxed);
+        let slot = self.claim(pos)?;
+        slot.fill(rec);
+        slot.publish(pos);
+        Some(pos >= self.slots.len() as u64)
+    }
+
+    /// Make position `pos`'s slot this writer's alone, or refuse. A ring
+    /// has several writers, and one descheduled between two field stores
+    /// can be lapped: without the claim, both would write the slot and
+    /// the slower one would publish an even `seq` over a mixed record.
+    /// Refused — one attempt, never a wait — when the slot is mid-write
+    /// (`seq` odd), when a later lap got there first (`seq > 2·pos`), or
+    /// when another writer wins the exchange.
+    fn claim(&self, pos: u64) -> Option<&Slot> {
         let slot = &self.slots[(pos % self.slots.len() as u64) as usize];
-        slot.seq.store(pos * 2 + 1, Ordering::Release);
-        slot.trace_id.store(rec.trace_id, Ordering::Relaxed);
-        slot.span_id.store(rec.span_id, Ordering::Relaxed);
-        slot.parent_id.store(rec.parent_id, Ordering::Relaxed);
-        let meta = rec.kind as u64 | ((rec.status as u64) << 8) | ((rec.shard as u64) << 32);
-        slot.meta.store(meta, Ordering::Relaxed);
-        slot.batch_seq.store(rec.batch_seq, Ordering::Relaxed);
-        slot.generation
-            .store(rec.model_generation, Ordering::Relaxed);
-        slot.start_ns.store(rec.start_ns, Ordering::Relaxed);
-        slot.end_ns.store(rec.end_ns, Ordering::Relaxed);
-        slot.seq.store(pos * 2 + 2, Ordering::Release);
-        pos >= self.slots.len() as u64
+        let cur = slot.seq.load(Ordering::Relaxed);
+        if cur % 2 == 1 || cur > pos * 2 {
+            return None;
+        }
+        slot.seq
+            .compare_exchange(cur, pos * 2 + 1, Ordering::AcqRel, Ordering::Relaxed)
+            .ok()?;
+        // Orders the odd `seq` before the field stores that follow; pairs
+        // with the reader's acquire fence: a snapshot that read any of
+        // those fields finds `seq` changed at its second load.
+        fence(Ordering::Release);
+        Some(slot)
     }
 
     /// Snapshot one slot; `None` when empty, mid-write, or torn by a
@@ -300,7 +338,8 @@ impl Ring {
         let generation = slot.generation.load(Ordering::Relaxed);
         let start_ns = slot.start_ns.load(Ordering::Relaxed);
         let end_ns = slot.end_ns.load(Ordering::Relaxed);
-        if slot.seq.load(Ordering::Acquire) != s1 {
+        fence(Ordering::Acquire);
+        if slot.seq.load(Ordering::Relaxed) != s1 {
             return None; // overwritten while reading
         }
         let kind = SpanKind::from_u8((meta & 0xff) as u8)?;
@@ -330,12 +369,13 @@ struct Inner {
 /// Counter snapshot for reporting ([`Recorder::stats`]).
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct TraceStats {
-    /// Spans written into the flight recorder.
+    /// Spans published into the flight recorder.
     pub recorded: u64,
     /// Traces promoted out of the ring (tail-sampled keeps).
     pub promoted: u64,
-    /// Ring slots that overwrote an older record — non-zero means the
-    /// ring was sized too small for the window you care about.
+    /// Spans that overwrote an older record, or were dropped because a
+    /// writer a lap away held their slot — non-zero means the ring was
+    /// sized too small for the window you care about.
     pub ring_overwrites: u64,
 }
 
@@ -392,9 +432,12 @@ impl Recorder {
             return;
         }
         let ring = &inner.rings[shard % inner.rings.len()];
-        let overwrote = ring.record(rec);
-        inner.recorded.fetch_add(1, Ordering::Relaxed);
-        if overwrote {
+        let written = ring.record(rec);
+        if written.is_some() {
+            inner.recorded.fetch_add(1, Ordering::Relaxed);
+        }
+        // Replacing an older record and being dropped say the same thing.
+        if written != Some(false) {
             inner.overwrites.fetch_add(1, Ordering::Relaxed);
         }
     }
@@ -718,6 +761,55 @@ mod tests {
         // The survivors are the newest four records.
         let newest: Vec<u64> = (6..10).map(|n| derive_trace_id(1, n)).collect();
         assert!(dump.iter().all(|s| newest.contains(&s.trace_id)));
+    }
+
+    /// The interleaving the stress test below can only hope for, held
+    /// open by hand: a writer stalled mid-record is lapped.
+    #[test]
+    fn a_lapped_writer_and_its_lapper_never_share_a_slot() {
+        let cap = 4u64;
+        let ring = Ring::new(cap as usize);
+        let (p, idx) = (1u64, 1usize);
+        let (mine, theirs) = (
+            span(0xA, SpanKind::Queue, 1, 2),
+            span(0xB, SpanKind::Queue, 3, 4),
+        );
+
+        let held = ring.claim(p).expect("an empty slot is free");
+        held.fill(&theirs); // stalled here, half-written as far as anyone can tell
+        assert!(ring.snapshot(idx).is_none(), "mid-write is not readable");
+        assert!(
+            ring.claim(p + cap).is_none(),
+            "refused while the slot is odd"
+        );
+        held.fill(&mine);
+        held.publish(p);
+        assert_eq!(ring.snapshot(idx), Some(mine));
+
+        assert!(ring.claim(p).is_none(), "a published position is stale");
+        assert!(
+            ring.claim(p - 1 + cap).is_some(),
+            "other slots are unaffected"
+        );
+        let next = ring.claim(p + 2 * cap).expect("a later lap may overwrite");
+        assert!(
+            ring.claim(p + cap).is_none(),
+            "and the lap it passed is stale"
+        );
+        next.fill(&theirs);
+        next.publish(p + 2 * cap);
+        assert_eq!(ring.snapshot(idx), Some(theirs));
+
+        // Through the recorder: a dropped span is counted as an overwrite
+        // and not as recorded.
+        let r = Recorder::new(1, 1);
+        let ring = &r.inner.as_ref().expect("enabled").rings[0];
+        let held = ring.claim(ring.head.fetch_add(1, Ordering::Relaxed));
+        r.record(0, &mine);
+        assert_eq!((r.stats().recorded, r.stats().ring_overwrites), (0, 1));
+        held.expect("free").publish(0);
+        r.record(0, &mine);
+        assert_eq!((r.stats().recorded, r.stats().ring_overwrites), (1, 2));
     }
 
     #[test]

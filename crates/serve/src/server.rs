@@ -1360,6 +1360,30 @@ mod tests {
             "serve.model.generation gauge advanced with the swap"
         );
 
+        // A generation whose text claims 2^64 - 1 layers is counted and
+        // skipped — the watcher thread survives it — and the good
+        // generation after it still swaps in.
+        let text = inspector::model_io::to_text(&retrained);
+        let hostile = text.replacen("layers 4", "layers 18446744073709551615", 1);
+        assert_ne!(hostile, text);
+        registry.publish_model(&hostile).unwrap();
+        let errors = || handle.stats().model_swap_errors.get();
+        while errors() < 1 && std::time::Instant::now() < deadline {
+            std::thread::sleep(Duration::from_millis(2));
+        }
+        assert_eq!(errors(), 1);
+        assert_eq!(handle.model_generation(), generation, "still serving");
+        let retrained = SchedInspector::new(BinaryPolicy::new(fb.dim(), 92), fb);
+        let generation = registry
+            .publish_model(&inspector::model_io::to_text(&retrained))
+            .unwrap();
+        while handle.model_generation() < generation && std::time::Instant::now() < deadline {
+            std::thread::sleep(Duration::from_millis(2));
+        }
+        assert_eq!(handle.model_generation(), generation);
+        assert_eq!(handle.stats().model_swaps.get(), 2);
+        assert_eq!(errors(), 1);
+
         // Decisions now come from the retrained network, bit-exactly.
         let (mut stream, mut reader) = connect(&handle);
         let dim = retrained.input_dim();

@@ -31,7 +31,7 @@ mod batch;
 mod layer;
 pub mod loss;
 mod mlp;
-mod serialize;
+pub mod text;
 
 pub use activation::Activation;
 pub use adam::Adam;

@@ -138,15 +138,24 @@ fn copy_spec(dir: &Path) {
     std::fs::copy(spec, dir.join("steady.toml")).expect("copy scenario spec");
 }
 
-/// Files the contract table's rows name: a trained model, a scenario spec,
-/// a feature line of the wrong width, and a regular file where a store
-/// directory (or a model, or a JSON report) is expected.
+/// Files the contract table's rows name: a trained model, a copy of it
+/// with one weight on line 12 spoiled, a scenario spec, a feature line of
+/// the wrong width, and a regular file where a store directory (or a
+/// model, or a JSON report) is expected.
 fn contract_fixtures(dir: &Path) {
     let train = run(
         dir,
         "train --jobs 1200 --epochs 1 --batch 4 --len 16 --out model.txt",
     );
     assert!(train.status.success(), "train failed: {train:?}");
+    let model = std::fs::read_to_string(dir.join("model.txt")).expect("read model");
+    let mut lines: Vec<String> = model.lines().map(String::from).collect();
+    assert!(
+        lines[11].starts_with("w "),
+        "line 12 is the second layer's weights"
+    );
+    lines[11].push('x');
+    std::fs::write(dir.join("badfloat.txt"), lines.join("\n")).expect("write spoiled model");
     copy_spec(dir);
     std::fs::write(dir.join("wrong.jsonl"), "[1,2,3]\n").expect("write feature line");
     std::fs::write(dir.join("afile"), "hi\n").expect("write plain file");
@@ -164,6 +173,11 @@ const CONTRACT: &[(&str, i32, &[&str])] = &[
     ("evaluate", 2, &["--model"]),
     ("evaluate --model missing.txt", 2, &["missing.txt"]),
     ("evaluate --model afile", 2, &["afile"]),
+    (
+        "evaluate --model badfloat.txt",
+        2,
+        &["badfloat.txt", "line 12:"],
+    ),
     ("analyze", 2, &["--model"]),
     ("analyze --model missing.txt", 2, &["missing.txt"]),
     ("serve", 2, &["--model"]),
