@@ -135,10 +135,8 @@ enum Event {
 }
 
 enum OutMsg {
-    /// A `shard` assignment: the worker owes a `shard_done` for it.
-    Shard(String),
-    /// Any other frame (`shutdown`, `error`): nothing comes back.
-    Frame(String),
+    /// A frame to write; for a `shard`, the worker owes a `shard_done`.
+    Frame(Message),
     Close,
 }
 
@@ -224,10 +222,8 @@ impl Coordinator {
 
         // Orderly shutdown regardless of outcome: tell workers to exit,
         // release their conn threads, and unblock + join the acceptor.
-        let mut line = String::new();
-        protocol::write_message(&Message::Shutdown, &mut line);
         for w in sched.workers.values() {
-            let _ = w.tx.send(OutMsg::Frame(line.clone()));
+            let _ = w.tx.send(OutMsg::Frame(Message::Shutdown));
             let _ = w.tx.send(OutMsg::Close);
         }
         stop.store(true, Ordering::SeqCst);
@@ -280,7 +276,7 @@ impl Scheduler<'_> {
         let plan = trainer.epoch_plan(epoch);
         let n = plan.starts.len();
         let k = self.cfg.shards;
-        let checkpoint = trainer.checkpoint_text(epoch);
+        let checkpoint: Arc<str> = trainer.checkpoint_text(epoch).into();
         let mut shards: Vec<ShardState> = split_ranges(n, k)
             .into_iter()
             .map(|range| ShardState {
@@ -344,21 +340,17 @@ impl Scheduler<'_> {
                 let Some(conn) = idle else { continue };
                 let assignments: Vec<(usize, usize)> =
                     shard.range.clone().map(|i| (i, plan.starts[i])).collect();
-                let mut line = String::new();
-                protocol::write_message(
-                    &Message::Shard {
-                        epoch,
-                        shard: s,
-                        seed_base: plan.episode_seed_base,
-                        merge: self.cfg.merge,
-                        frame: self.cfg.frame,
-                        assignments,
-                        checkpoint: checkpoint.clone(),
-                    },
-                    &mut line,
-                );
+                let assignment = Message::Shard {
+                    epoch,
+                    shard: s,
+                    seed_base: plan.episode_seed_base,
+                    merge: self.cfg.merge,
+                    frame: self.cfg.frame,
+                    assignments,
+                    checkpoint: checkpoint.clone(),
+                };
                 let w = self.workers.get_mut(&conn).expect("picked from workers");
-                if w.tx.send(OutMsg::Shard(line)).is_err() {
+                if w.tx.send(OutMsg::Frame(assignment)).is_err() {
                     // Conn thread already gone; the Dead event will follow.
                     continue;
                 }
@@ -381,23 +373,17 @@ impl Scheduler<'_> {
                     tx,
                 }) => {
                     if (input_dim, seed, world) != (self.input_dim, self.seed, self.world) {
-                        let mut line = String::new();
-                        protocol::write_message(
-                            &Message::Error {
-                                message: format!(
-                                    "worker world mismatch: input_dim {input_dim} vs {}, \
-                                     seed {seed} vs {}, world digest {} vs {} (start the \
-                                     worker with the coordinator's trace/policy/metric/\
-                                     backfill/len flags)",
-                                    self.input_dim,
-                                    self.seed,
-                                    hex16(world),
-                                    hex16(self.world)
-                                ),
-                            },
-                            &mut line,
+                        let message = format!(
+                            "worker world mismatch: input_dim {input_dim} vs {}, \
+                             seed {seed} vs {}, world digest {} vs {} (start the \
+                             worker with the coordinator's trace/policy/metric/\
+                             backfill/len flags)",
+                            self.input_dim,
+                            self.seed,
+                            hex16(world),
+                            hex16(self.world)
                         );
-                        let _ = tx.send(OutMsg::Frame(line));
+                        let _ = tx.send(OutMsg::Frame(Message::Error { message }));
                         let _ = tx.send(OutMsg::Close);
                         continue;
                     }
@@ -598,12 +584,22 @@ fn conn_loop<T: Transport>(
         dead(&events, e.to_string());
         return;
     }
+    // The scheduler went away without a `Close`: the run ended with this
+    // worker's `hello` (or its last frame) still unread in the event
+    // queue — one that joined as the last rollouts finished. It is told
+    // `shutdown` like every worker the scheduler knew, not hung up on.
+    let farewell = |t: &mut T| {
+        let mut line = String::new();
+        protocol::write_message(&Message::Shutdown, &mut line);
+        let _ = t.write_all(line.as_bytes());
+    };
     let mut reader = FrameReader::new(MAX_FRAME_BYTES);
     // `Some` until `hello` hands the sender to the scheduler; from then on
     // the queue disconnects when the scheduler lets go of this worker.
     let mut out_tx = Some(out_tx);
     // `shard` frames written whose `shard_done` has not come back.
     let mut owed = 0usize;
+    let mut out = String::new();
     loop {
         loop {
             let next = if out_tx.is_none() && owed == 0 {
@@ -611,30 +607,25 @@ fn conn_loop<T: Transport>(
             } else {
                 out_rx.try_recv()
             };
-            let frame = match next {
-                Ok(OutMsg::Shard(frame)) => {
-                    owed += 1;
-                    frame
-                }
-                Ok(OutMsg::Frame(frame)) => frame,
-                Ok(OutMsg::Close) | Err(TryRecvError::Disconnected) => return,
+            let msg = match next {
+                Ok(OutMsg::Frame(msg)) => msg,
+                Ok(OutMsg::Close) => return,
+                Err(TryRecvError::Disconnected) => return farewell(&mut t),
                 Err(TryRecvError::Empty) => break,
             };
-            if let Err(e) = t.write_all(frame.as_bytes()) {
+            owed += usize::from(matches!(msg, Message::Shard { .. }));
+            out.clear();
+            protocol::write_message(&msg, &mut out);
+            if let Err(e) = t.write_all(out.as_bytes()) {
                 dead(&events, e.to_string());
                 return;
             }
         }
-        let line = match reader.poll_line(&mut t) {
+        // A timeout comes back here, through the queue above: a peer
+        // that goes quiet mid-frame cannot keep this thread from `Close`.
+        let msg = match reader.poll_frame(&mut t) {
             Ok(None) => continue,
-            Ok(Some(line)) => line,
-            Err(e) => {
-                dead(&events, e.to_string());
-                return;
-            }
-        };
-        let msg = match protocol::parse_message(&line) {
-            Ok(msg) => msg,
+            Ok(Some(msg)) => msg,
             Err(e) => {
                 dead(&events, e.to_string());
                 return;
@@ -651,10 +642,20 @@ fn conn_loop<T: Transport>(
                 },
             ) => {
                 if proto != PROTO_VERSION {
-                    dead(
-                        &events,
-                        format!("protocol version {proto} != {PROTO_VERSION}"),
+                    // `error` has had one grammar since v1, so an older
+                    // worker can print why it was turned away.
+                    let message = format!(
+                        "worker speaks protocol version {proto}, this coordinator {PROTO_VERSION}"
                     );
+                    out.clear();
+                    protocol::write_message(
+                        &Message::Error {
+                            message: message.clone(),
+                        },
+                        &mut out,
+                    );
+                    let _ = t.write_all(out.as_bytes());
+                    dead(&events, message);
                     return;
                 }
                 Event::Joined {
@@ -666,46 +667,6 @@ fn conn_loop<T: Transport>(
                 }
             }
             (None, Message::Episode { epoch, summary }) => Event::Episode { epoch, summary },
-            (
-                None,
-                Message::EpisodeBin {
-                    epoch,
-                    index,
-                    base_metric,
-                    inspected_metric,
-                    inspections,
-                    rejections,
-                    bytes,
-                },
-            ) => {
-                let payload = loop {
-                    match reader.poll_bytes(&mut t, bytes) {
-                        Ok(None) => continue,
-                        Ok(Some(p)) => break p,
-                        Err(e) => {
-                            dead(&events, e.to_string());
-                            return;
-                        }
-                    }
-                };
-                match protocol::decode_trajectory(&payload) {
-                    Ok(trajectory) => Event::Episode {
-                        epoch,
-                        summary: EpisodeSummary {
-                            index,
-                            trajectory,
-                            base_metric,
-                            inspected_metric,
-                            inspections,
-                            rejections,
-                        },
-                    },
-                    Err(e) => {
-                        dead(&events, e.to_string());
-                        return;
-                    }
-                }
-            }
             (
                 None,
                 Message::ShardDone {
@@ -736,7 +697,7 @@ fn conn_loop<T: Transport>(
             }
         };
         if events.send(event).is_err() {
-            return; // scheduler gone; shutting down
+            return farewell(&mut t);
         }
     }
 }
@@ -744,6 +705,80 @@ fn conn_loop<T: Transport>(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::sync::Mutex;
+
+    /// A worker that has said `hello` and now waits: reads hand out `sent`,
+    /// then time out; writes land in `got`.
+    struct Waiting {
+        sent: Vec<u8>,
+        got: Arc<Mutex<Vec<u8>>>,
+    }
+
+    impl Transport for Waiting {
+        fn read(&mut self, buf: &mut [u8]) -> std::io::Result<usize> {
+            if self.sent.is_empty() {
+                return Err(std::io::ErrorKind::WouldBlock.into());
+            }
+            let n = buf.len().min(self.sent.len());
+            buf[..n].copy_from_slice(&self.sent[..n]);
+            self.sent.drain(..n);
+            Ok(n)
+        }
+        fn write_all(&mut self, buf: &[u8]) -> std::io::Result<()> {
+            self.got.lock().unwrap().extend_from_slice(buf);
+            Ok(())
+        }
+        fn configure(&mut self, _t: Option<Duration>) -> std::io::Result<()> {
+            Ok(())
+        }
+    }
+
+    /// A run can end with a worker's `hello` still unread in the event
+    /// queue — the faster the rollouts, the likelier for the last worker
+    /// to connect. When the scheduler goes, that worker's thread tells it
+    /// `shutdown` and ends. (The parent closed the connection unannounced
+    /// and the worker reported `Disconnected`; spine's `train_dist` fails
+    /// a run on any worker error.)
+    #[test]
+    fn a_worker_the_scheduler_never_met_is_still_told_shutdown() {
+        let mut hello = String::new();
+        protocol::write_message(
+            &Message::Hello {
+                proto: PROTO_VERSION,
+                input_dim: 8,
+                seed: 42,
+                world: 7,
+            },
+            &mut hello,
+        );
+        let got = Arc::new(Mutex::new(Vec::new()));
+        let worker = Waiting {
+            sent: hello.into_bytes(),
+            got: got.clone(),
+        };
+        let (events_tx, events) = mpsc::channel();
+        let (out_tx, out_rx) = mpsc::channel();
+        let thread = thread::spawn(move || {
+            conn_loop(
+                worker,
+                0,
+                Duration::from_millis(1),
+                events_tx,
+                out_rx,
+                out_tx,
+            )
+        });
+        let joined = events.recv().expect("the hello arrives");
+        assert!(matches!(joined, Event::Joined { conn: 0, .. }));
+        // The scheduler ends without ever pumping that event.
+        drop(joined);
+        drop(events);
+        thread.join().expect("conn thread ends");
+        assert_eq!(
+            String::from_utf8(got.lock().unwrap().clone()).unwrap(),
+            "{\"verb\":\"shutdown\"}\n"
+        );
+    }
 
     #[test]
     fn split_covers_everything_contiguously() {

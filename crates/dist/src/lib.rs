@@ -8,8 +8,9 @@
 //! or decentralized (DD-PPO-style parameter averaging, deterministic per
 //! `(seed, shard count)`).
 //!
-//! The wire protocol ([`protocol`]) is line-delimited JSON with bit-exact
-//! float framing, plus an optional compact binary trajectory frame.
+//! The wire protocol ([`protocol`]) is one JSON header line per frame,
+//! with bit-exact float framing, followed by the raw bytes the header
+//! announces: checkpoint text, or a compact binary trajectory.
 //! Trajectory segments and checkpoints journal through `store` so a
 //! killed coordinator resumes byte-identically.
 

@@ -1,5 +1,8 @@
-//! The coordinator↔worker wire protocol: line-delimited JSON frames with
-//! an optional length-prefixed binary trajectory frame.
+//! The coordinator↔worker wire protocol: one JSON header line per frame,
+//! which may announce `"bytes":L` — then exactly `L` raw payload bytes
+//! follow the line's newline. Bulk text (a checkpoint) and trajectories
+//! never travel inside JSON: a header is small, so parsing it costs
+//! nothing, and a payload is copied, not escaped and re-parsed.
 //!
 //! # Grammar
 //!
@@ -8,26 +11,32 @@
 //! ```text
 //! shard    = {"verb":"shard","epoch":E,"shard":S,"seed_base":HEX16,
 //!             "merge":"sync"|"decentralized","frame":"json"|"binary",
-//!             "assignments":[[index,start],...],"checkpoint":TEXT}
+//!             "assignments":[[index,start],...],"bytes":L}
+//!            followed by L bytes: the `schedinspector-checkpoint v1` text
 //! shutdown = {"verb":"shutdown"}
 //! ```
 //!
 //! Worker → coordinator:
 //!
 //! ```text
-//! hello       = {"verb":"hello","proto":2,"input_dim":D,"seed":HEX16,
+//! hello       = {"verb":"hello","proto":3,"input_dim":D,"seed":HEX16,
 //!                "world":HEX16}
 //! episode     = {"verb":"episode","epoch":E,"index":I,"base_metric":B,
 //!                "inspected_metric":M,"inspections":N,"rejections":K,
 //!                "reward":R,"steps":[[[f,...],a,logp],...]}
 //! episode_bin = {"verb":"episode_bin","epoch":E,"index":I,"base_metric":B,
 //!                "inspected_metric":M,"inspections":N,"rejections":K,
-//!                "bytes":L}           followed by exactly L raw bytes
+//!                "bytes":L}
+//!               followed by L bytes: the binary trajectory
 //! shard_done  = {"verb":"shard_done","epoch":E,"shard":S,"episodes":n
-//!                [,"replica":TEXT,"stats":[pi,vf,kl,ent,clip,gnorm,iters]]}
+//!                [,"stats":[pi,vf,kl,ent,clip,gnorm,iters],"bytes":L]}
+//!               with `stats`, followed by L bytes: the replica's
+//!               checkpoint text
 //! ```
 //!
 //! Either direction may send `{"verb":"error","message":S}` before closing.
+//! `episode` and `episode_bin` are two encodings of one message
+//! ([`FrameKind`]); a reader hands back [`Message::Episode`] for both.
 //!
 //! # Numeric encoding
 //!
@@ -46,11 +55,12 @@ use obs::trace::{hex16, parse_hex16};
 use rlcore::{Step, Trajectory, UpdateStats};
 use serve::Transport;
 use std::fmt::Write as _;
+use std::sync::Arc;
 
 /// Protocol version carried in `hello`; the coordinator rejects mismatches.
-pub const PROTO_VERSION: u64 = 2;
+pub const PROTO_VERSION: u64 = 3;
 
-/// Ceiling on one frame (line or binary payload). A full checkpoint for
+/// Ceiling on one header line, and on one payload. A full checkpoint for
 /// the paper's 938-parameter network is a few tens of KiB; 16 MiB leaves
 /// room for far larger models while bounding a hostile peer.
 pub const MAX_FRAME_BYTES: usize = 16 << 20;
@@ -68,8 +78,8 @@ pub enum ProtoError {
         /// The limit that was exceeded, in bytes.
         limit: usize,
     },
-    /// A line was not valid protocol JSON, or a field had the wrong
-    /// type/value.
+    /// A line was not valid protocol JSON, a field had the wrong
+    /// type/value, or a text payload was not UTF-8.
     Malformed(String),
     /// A binary trajectory payload failed structural validation.
     Binary(String),
@@ -193,33 +203,16 @@ pub enum Message {
         frame: FrameKind,
         /// `(episode index, start offset)` pairs, in episode order.
         assignments: Vec<(usize, usize)>,
-        /// Checkpoint text to install before rolling out.
-        checkpoint: String,
+        /// Checkpoint text to install before rolling out — one
+        /// serialisation per epoch, shared by every shard's frame.
+        checkpoint: Arc<str>,
     },
-    /// One rolled-out episode (JSON frame).
+    /// One rolled-out episode, in either [`FrameKind`].
     Episode {
         /// Epoch the episode belongs to.
         epoch: usize,
         /// The episode's summary, exact to the bit.
         summary: EpisodeSummary,
-    },
-    /// Header of one rolled-out episode whose trajectory follows as
-    /// `bytes` raw bytes (binary frame).
-    EpisodeBin {
-        /// Epoch the episode belongs to.
-        epoch: usize,
-        /// Position of the episode in the epoch batch.
-        index: usize,
-        /// Base-policy metric value.
-        base_metric: f64,
-        /// Inspected-run metric value.
-        inspected_metric: f64,
-        /// Scheduling points inspected.
-        inspections: u64,
-        /// Rejections issued.
-        rejections: u64,
-        /// Exact length of the binary trajectory payload that follows.
-        bytes: usize,
     },
     /// A shard's rollout (and, decentralized, local update) finished.
     ShardDone {
@@ -241,7 +234,10 @@ pub enum Message {
     },
 }
 
-/// Append `msg` as one newline-terminated frame line.
+/// Append `msg`'s wire form: its header line and, where the header
+/// announces one, the checkpoint text after it (text, so the whole frame
+/// is still a `String`). An episode is written as JSON here;
+/// [`write_episode`] writes it in either encoding.
 pub fn write_message(msg: &Message, out: &mut String) {
     match msg {
         Message::Hello {
@@ -250,7 +246,7 @@ pub fn write_message(msg: &Message, out: &mut String) {
             seed,
             world,
         } => {
-            let _ = write!(
+            let _ = writeln!(
                 out,
                 "{{\"verb\":\"hello\",\"proto\":{proto},\"input_dim\":{input_dim},\"seed\":\"{}\",\"world\":\"{}\"}}",
                 hex16(*seed),
@@ -280,60 +276,10 @@ pub fn write_message(msg: &Message, out: &mut String) {
                 }
                 let _ = write!(out, "[{index},{start}]");
             }
-            out.push_str("],\"checkpoint\":");
-            escape_into(checkpoint, out);
-            out.push('}');
+            let _ = writeln!(out, "],\"bytes\":{}}}", checkpoint.len());
+            out.push_str(checkpoint);
         }
-        Message::Episode { epoch, summary } => {
-            let _ = write!(out, "{{\"verb\":\"episode\",\"epoch\":{epoch},");
-            write_summary_fields(
-                out,
-                summary.index,
-                summary.base_metric,
-                summary.inspected_metric,
-                summary.inspections,
-                summary.rejections,
-            );
-            out.push_str(",\"reward\":");
-            write_f64(out, summary.trajectory.reward as f64);
-            out.push_str(",\"steps\":[");
-            for (i, s) in summary.trajectory.steps.iter().enumerate() {
-                if i > 0 {
-                    out.push(',');
-                }
-                out.push_str("[[");
-                for (j, x) in s.state.iter().enumerate() {
-                    if j > 0 {
-                        out.push(',');
-                    }
-                    write_f64(out, *x as f64);
-                }
-                let _ = write!(out, "],{},", s.action);
-                write_f64(out, s.logp as f64);
-                out.push(']');
-            }
-            out.push_str("]}");
-        }
-        Message::EpisodeBin {
-            epoch,
-            index,
-            base_metric,
-            inspected_metric,
-            inspections,
-            rejections,
-            bytes,
-        } => {
-            let _ = write!(out, "{{\"verb\":\"episode_bin\",\"epoch\":{epoch},");
-            write_summary_fields(
-                out,
-                *index,
-                *base_metric,
-                *inspected_metric,
-                *inspections,
-                *rejections,
-            );
-            let _ = write!(out, ",\"bytes\":{bytes}}}");
-        }
+        Message::Episode { epoch, summary } => write_episode_json(out, *epoch, summary),
         Message::ShardDone {
             epoch,
             shard,
@@ -344,55 +290,96 @@ pub fn write_message(msg: &Message, out: &mut String) {
                 out,
                 "{{\"verb\":\"shard_done\",\"epoch\":{epoch},\"shard\":{shard},\"episodes\":{episodes}"
             );
-            if let Some(r) = replica {
-                out.push_str(",\"replica\":");
-                escape_into(&r.checkpoint, out);
-                out.push_str(",\"stats\":[");
-                for (i, x) in [
-                    r.stats.pi_loss,
-                    r.stats.vf_loss,
-                    r.stats.approx_kl,
-                    r.stats.entropy,
-                    r.stats.clip_frac,
-                    r.stats.grad_norm,
-                ]
-                .iter()
-                .enumerate()
-                {
-                    if i > 0 {
-                        out.push(',');
-                    }
-                    write_f64(out, *x as f64);
-                }
-                let _ = write!(out, ",{}]", r.stats.pi_iters);
+            let Some(r) = replica else {
+                out.push_str("}\n");
+                return;
+            };
+            out.push_str(",\"stats\":[");
+            for x in [
+                r.stats.pi_loss,
+                r.stats.vf_loss,
+                r.stats.approx_kl,
+                r.stats.entropy,
+                r.stats.clip_frac,
+                r.stats.grad_norm,
+            ] {
+                write_f64(out, x as f64);
+                out.push(',');
             }
-            out.push('}');
+            let _ = writeln!(
+                out,
+                "{}],\"bytes\":{}}}",
+                r.stats.pi_iters,
+                r.checkpoint.len()
+            );
+            out.push_str(&r.checkpoint);
         }
-        Message::Shutdown => out.push_str("{\"verb\":\"shutdown\"}"),
+        Message::Shutdown => out.push_str("{\"verb\":\"shutdown\"}\n"),
         Message::Error { message } => {
             out.push_str("{\"verb\":\"error\",\"message\":");
             escape_into(message, out);
-            out.push('}');
+            out.push_str("}\n");
         }
     }
-    out.push('\n');
 }
 
-fn write_summary_fields(
-    out: &mut String,
-    index: usize,
-    base_metric: f64,
-    inspected_metric: f64,
-    inspections: u64,
-    rejections: u64,
-) {
-    let _ = write!(out, "\"index\":{index},\"base_metric\":");
-    write_f64(out, base_metric);
-    out.push_str(",\"inspected_metric\":");
-    write_f64(out, inspected_metric);
+/// Append one episode's wire form in the encoding the coordinator asked
+/// for: the JSON line, or the `episode_bin` header and its payload.
+pub fn write_episode(epoch: usize, summary: &EpisodeSummary, frame: FrameKind, out: &mut Vec<u8>) {
+    let mut head = String::new();
+    match frame {
+        FrameKind::Json => {
+            write_episode_json(&mut head, epoch, summary);
+            out.extend_from_slice(head.as_bytes());
+        }
+        FrameKind::Binary => {
+            let payload = encode_trajectory(&summary.trajectory);
+            write_episode_head(&mut head, "episode_bin", epoch, summary);
+            let _ = writeln!(head, ",\"bytes\":{}}}", payload.len());
+            out.extend_from_slice(head.as_bytes());
+            out.extend_from_slice(&payload);
+        }
+    }
+}
+
+fn write_episode_json(out: &mut String, epoch: usize, summary: &EpisodeSummary) {
+    write_episode_head(out, "episode", epoch, summary);
+    out.push_str(",\"reward\":");
+    write_f64(out, summary.trajectory.reward as f64);
+    out.push_str(",\"steps\":[");
+    for (i, s) in summary.trajectory.steps.iter().enumerate() {
+        if i > 0 {
+            out.push(',');
+        }
+        out.push_str("[[");
+        for (j, x) in s.state.iter().enumerate() {
+            if j > 0 {
+                out.push(',');
+            }
+            write_f64(out, *x as f64);
+        }
+        let _ = write!(out, "],{},", s.action);
+        write_f64(out, s.logp as f64);
+        out.push(']');
+    }
+    out.push_str("]}\n");
+}
+
+/// The fields `episode` and `episode_bin` share, up to but excluding the
+/// trajectory.
+fn write_episode_head(out: &mut String, verb: &str, epoch: usize, s: &EpisodeSummary) {
     let _ = write!(
         out,
-        ",\"inspections\":{inspections},\"rejections\":{rejections}"
+        "{{\"verb\":\"{verb}\",\"epoch\":{epoch},\"index\":{},\"base_metric\":",
+        s.index
+    );
+    write_f64(out, s.base_metric);
+    out.push_str(",\"inspected_metric\":");
+    write_f64(out, s.inspected_metric);
+    let _ = write!(
+        out,
+        ",\"inspections\":{},\"rejections\":{}",
+        s.inspections, s.rejections
     );
 }
 
@@ -431,12 +418,31 @@ fn hex_field(v: &Json, key: &str) -> Result<u64, ProtoError> {
     parse_hex16(s).ok_or_else(|| bad(format!("field {key:?} is not a 64-bit hex id: {s:?}")))
 }
 
-/// Parse one frame line (without its trailing newline).
-pub fn parse_message(line: &str) -> Result<Message, ProtoError> {
+/// An episode from the fields `episode` and `episode_bin` share, around
+/// `trajectory`.
+fn episode_fields(v: &Json, trajectory: Trajectory) -> Result<Message, ProtoError> {
+    Ok(Message::Episode {
+        epoch: index_field(v, "epoch")?,
+        summary: EpisodeSummary {
+            index: index_field(v, "index")?,
+            trajectory,
+            base_metric: num_field(v, "base_metric")?,
+            inspected_metric: num_field(v, "inspected_metric")?,
+            inspections: count_field(v, "inspections")?,
+            rejections: count_field(v, "rejections")?,
+        },
+    })
+}
+
+/// Parse one header line (without its newline) into the message it
+/// opens and the length of the payload it announces, if any. A message
+/// with a payload comes back with that part empty; [`attach`] fills it.
+fn parse_header(line: &str) -> Result<(Message, Option<usize>), ProtoError> {
     let v = parse(line).map_err(bad)?;
     let verb = str_field(&v, "verb")?;
+    let whole = |msg| Ok((msg, None));
     match verb {
-        "hello" => Ok(Message::Hello {
+        "hello" => whole(Message::Hello {
             proto: count_field(&v, "proto")?,
             input_dim: index_field(&v, "input_dim")?,
             seed: hex_field(&v, "seed")?,
@@ -466,7 +472,7 @@ pub fn parse_message(line: &str) -> Result<Message, ProtoError> {
                 };
                 assignments.push((as_idx(&items[0])?, as_idx(&items[1])?));
             }
-            Ok(Message::Shard {
+            let shard = Message::Shard {
                 epoch: index_field(&v, "epoch")?,
                 shard: index_field(&v, "shard")?,
                 seed_base: hex_field(&v, "seed_base")?,
@@ -475,8 +481,9 @@ pub fn parse_message(line: &str) -> Result<Message, ProtoError> {
                 frame: FrameKind::parse(str_field(&v, "frame")?)
                     .ok_or_else(|| bad("unknown frame kind"))?,
                 assignments,
-                checkpoint: str_field(&v, "checkpoint")?.to_string(),
-            })
+                checkpoint: Arc::from(""),
+            };
+            Ok((shard, Some(index_field(&v, "bytes")?)))
         }
         "episode" => {
             let raw = v
@@ -515,46 +522,18 @@ pub fn parse_message(line: &str) -> Result<Message, ProtoError> {
                     logp,
                 });
             }
-            Ok(Message::Episode {
-                epoch: index_field(&v, "epoch")?,
-                summary: EpisodeSummary {
-                    index: index_field(&v, "index")?,
-                    trajectory: Trajectory {
-                        steps,
-                        reward: num_field(&v, "reward")? as f32,
-                    },
-                    base_metric: num_field(&v, "base_metric")?,
-                    inspected_metric: num_field(&v, "inspected_metric")?,
-                    inspections: count_field(&v, "inspections")?,
-                    rejections: count_field(&v, "rejections")?,
-                },
-            })
+            let reward = num_field(&v, "reward")? as f32;
+            whole(episode_fields(&v, Trajectory { steps, reward })?)
         }
-        "episode_bin" => {
-            let bytes = index_field(&v, "bytes")?;
-            if bytes > MAX_FRAME_BYTES {
-                return Err(ProtoError::TooLong {
-                    limit: MAX_FRAME_BYTES,
-                });
-            }
-            Ok(Message::EpisodeBin {
-                epoch: index_field(&v, "epoch")?,
-                index: index_field(&v, "index")?,
-                base_metric: num_field(&v, "base_metric")?,
-                inspected_metric: num_field(&v, "inspected_metric")?,
-                inspections: count_field(&v, "inspections")?,
-                rejections: count_field(&v, "rejections")?,
-                bytes,
-            })
-        }
+        "episode_bin" => Ok((
+            episode_fields(&v, Trajectory::default())?,
+            Some(index_field(&v, "bytes")?),
+        )),
         "shard_done" => {
-            let replica = match v.get("replica") {
-                None => None,
-                Some(r) => {
-                    let checkpoint = r
-                        .as_str()
-                        .ok_or_else(|| bad("\"replica\" must be a checkpoint string"))?
-                        .to_string();
+            // `stats` and `bytes` come together or not at all.
+            let (replica, bytes) = match (v.get("stats"), v.get("bytes")) {
+                (None, None) => (None, None),
+                _ => {
                     let raw = v
                         .get("stats")
                         .and_then(Json::as_array)
@@ -569,8 +548,8 @@ pub fn parse_message(line: &str) -> Result<Message, ProtoError> {
                     if f[6] < 0.0 || f[6].fract() != 0.0 {
                         return Err(bad("stats pi_iters must be a non-negative integer"));
                     }
-                    Some(Replica {
-                        checkpoint,
+                    let replica = Replica {
+                        checkpoint: String::new(),
                         stats: UpdateStats {
                             pi_loss: f[0] as f32,
                             vf_loss: f[1] as f32,
@@ -580,22 +559,39 @@ pub fn parse_message(line: &str) -> Result<Message, ProtoError> {
                             grad_norm: f[5] as f32,
                             pi_iters: f[6] as usize,
                         },
-                    })
+                    };
+                    (Some(replica), Some(index_field(&v, "bytes")?))
                 }
             };
-            Ok(Message::ShardDone {
+            let done = Message::ShardDone {
                 epoch: index_field(&v, "epoch")?,
                 shard: index_field(&v, "shard")?,
                 episodes: count_field(&v, "episodes")?,
                 replica,
-            })
+            };
+            Ok((done, bytes))
         }
-        "shutdown" => Ok(Message::Shutdown),
-        "error" => Ok(Message::Error {
+        "shutdown" => whole(Message::Shutdown),
+        "error" => whole(Message::Error {
             message: str_field(&v, "message")?.to_string(),
         }),
         other => Err(bad(format!("unknown verb {other:?}"))),
     }
+}
+
+/// Complete `msg` with the payload its header announced: checkpoint text
+/// is checked as UTF-8 (once, here), a trajectory is decoded.
+fn attach(mut msg: Message, payload: &[u8]) -> Result<Message, ProtoError> {
+    let text = || std::str::from_utf8(payload).map_err(|_| bad("checkpoint payload is not UTF-8"));
+    match &mut msg {
+        Message::Shard { checkpoint, .. } => *checkpoint = text()?.into(),
+        Message::ShardDone {
+            replica: Some(r), ..
+        } => r.checkpoint = text()?.into(),
+        Message::Episode { summary, .. } => summary.trajectory = decode_trajectory(payload)?,
+        _ => return Err(bad("payload after a frame that takes none")),
+    }
+    Ok(msg)
 }
 
 // ---------------------------------------------------------------------------
@@ -753,87 +749,143 @@ pub fn decode_batch(bytes: &[u8]) -> Result<Vec<EpisodeSummary>, ProtoError> {
 // Frame reader
 // ---------------------------------------------------------------------------
 
-/// Incremental frame reader over a [`Transport`]: buffers bytes, yields
-/// complete lines and length-prefixed binary payloads. `Ok(None)` means
-/// the transport's read timeout elapsed with the frame still incomplete
-/// (poll again); EOF surfaces as [`ProtoError::Closed`].
+/// How far [`FrameReader`] grows its buffer at a time while the bytes
+/// keep coming: one read takes a whole checkpoint, not a tenth of it.
+const READ_STEP: usize = 64 << 10;
+
+/// Incremental frame reader over a [`Transport`]. [`poll_frame`] is the
+/// one way in: `Ok(Some(_))` is a whole frame — header parsed, payload
+/// read and attached; `Ok(None)` means the transport's read timeout
+/// elapsed with the frame still incomplete (what has arrived, and a
+/// header already parsed, are kept — poll again); EOF surfaces as
+/// [`ProtoError::Closed`].
+///
+/// [`poll_frame`]: FrameReader::poll_frame
 pub struct FrameReader {
+    /// Storage; the unread bytes are `buf[start..end]`. Its length only
+    /// follows what has arrived (doubling, at least [`READ_STEP`]) and
+    /// never passes `max` — no count a peer announces sizes it.
     buf: Vec<u8>,
+    start: usize,
+    end: usize,
+    /// Unread bytes already known to hold no newline.
+    scanned: usize,
+    /// A header whose announced payload has not all arrived.
+    pending: Option<(Message, usize)>,
     max: usize,
 }
 
 impl FrameReader {
-    /// A reader enforcing `max` bytes per frame.
+    /// A reader that refuses a header line, or a payload, over `max` bytes.
     pub fn new(max: usize) -> Self {
         FrameReader {
             buf: Vec::new(),
+            start: 0,
+            end: 0,
+            scanned: 0,
+            pending: None,
             max,
         }
     }
 
-    /// Pull more bytes from `t`. `Ok(true)` if any arrived, `Ok(false)`
-    /// on a timeout tick.
-    fn fill<T: Transport>(&mut self, t: &mut T) -> Result<bool, ProtoError> {
-        let mut chunk = [0u8; 4096];
-        match t.read(&mut chunk) {
+    /// Pull more bytes from `t` for a frame that may still take `limit`
+    /// unread bytes in all (and holds fewer). `Ok(true)` if any arrived,
+    /// `Ok(false)` on a timeout tick.
+    fn fill<T: Transport>(&mut self, t: &mut T, limit: usize) -> Result<bool, ProtoError> {
+        if self.start > 0 {
+            self.buf.copy_within(self.start..self.end, 0);
+            self.end -= self.start;
+            self.start = 0;
+        }
+        if self.end == self.buf.len() {
+            let grown = (self.end * 2).max(self.end + READ_STEP).min(limit);
+            self.buf.resize(grown, 0);
+        }
+        match t.read(&mut self.buf[self.end..]) {
             Ok(0) => Err(ProtoError::Closed),
             Ok(n) => {
-                self.buf.extend_from_slice(&chunk[..n]);
+                self.end += n;
                 Ok(true)
             }
             Err(e)
                 if matches!(
                     e.kind(),
-                    std::io::ErrorKind::WouldBlock | std::io::ErrorKind::TimedOut
+                    std::io::ErrorKind::WouldBlock
+                        | std::io::ErrorKind::TimedOut
+                        | std::io::ErrorKind::Interrupted
                 ) =>
             {
                 Ok(false)
             }
-            Err(e) if e.kind() == std::io::ErrorKind::Interrupted => Ok(false),
             Err(e) => Err(ProtoError::Io(e.to_string())),
         }
     }
 
     /// Next complete line (without the newline), or `None` on a timeout.
-    pub fn poll_line<T: Transport>(&mut self, t: &mut T) -> Result<Option<String>, ProtoError> {
+    fn poll_line<T: Transport>(&mut self, t: &mut T) -> Result<Option<&str>, ProtoError> {
         loop {
-            if let Some(at) = self.buf.iter().position(|b| *b == b'\n') {
-                let rest = self.buf.split_off(at + 1);
-                let mut line = std::mem::replace(&mut self.buf, rest);
-                line.pop(); // the newline
-                if line.last() == Some(&b'\r') {
-                    line.pop();
-                }
-                let line = String::from_utf8(line)
-                    .map_err(|_| ProtoError::Malformed("frame is not UTF-8".into()))?;
-                return Ok(Some(line));
+            let unread = &self.buf[self.start..self.end];
+            if let Some(at) = unread[self.scanned..].iter().position(|b| *b == b'\n') {
+                let line = self.start..self.start + self.scanned + at;
+                self.start = line.end + 1;
+                self.scanned = 0;
+                let line = &self.buf[line];
+                let line = line.strip_suffix(b"\r").unwrap_or(line);
+                return std::str::from_utf8(line)
+                    .map(Some)
+                    .map_err(|_| bad("frame is not UTF-8"));
             }
-            if self.buf.len() > self.max {
+            self.scanned = unread.len();
+            if self.scanned >= self.max {
                 return Err(ProtoError::TooLong { limit: self.max });
             }
-            if !self.fill(t)? {
+            if !self.fill(t, self.max)? {
                 return Ok(None);
             }
         }
     }
 
     /// Next `n` raw payload bytes, or `None` on a timeout with the
-    /// payload still incomplete (already-buffered bytes are retained).
-    pub fn poll_bytes<T: Transport>(
+    /// payload still incomplete.
+    fn poll_bytes<T: Transport>(
         &mut self,
         t: &mut T,
         n: usize,
-    ) -> Result<Option<Vec<u8>>, ProtoError> {
-        if n > self.max {
-            return Err(ProtoError::TooLong { limit: self.max });
-        }
-        while self.buf.len() < n {
-            if !self.fill(t)? {
+    ) -> Result<Option<&[u8]>, ProtoError> {
+        while self.end - self.start < n {
+            if !self.fill(t, n)? {
                 return Ok(None);
             }
         }
-        let rest = self.buf.split_off(n);
-        Ok(Some(std::mem::replace(&mut self.buf, rest)))
+        self.start += n;
+        Ok(Some(&self.buf[self.start - n..self.start]))
+    }
+
+    /// Next whole frame, or `None` on a timeout (see the type's docs).
+    pub fn poll_frame<T: Transport>(&mut self, t: &mut T) -> Result<Option<Message>, ProtoError> {
+        let (msg, bytes) = match self.pending.take() {
+            Some(pending) => pending,
+            None => {
+                let Some(line) = self.poll_line(t)? else {
+                    return Ok(None);
+                };
+                let (msg, bytes) = parse_header(line)?;
+                let Some(bytes) = bytes else {
+                    return Ok(Some(msg));
+                };
+                if bytes > self.max {
+                    return Err(ProtoError::TooLong { limit: self.max });
+                }
+                (msg, bytes)
+            }
+        };
+        match self.poll_bytes(t, bytes)? {
+            Some(payload) => attach(msg, payload).map(Some),
+            None => {
+                self.pending = Some((msg, bytes));
+                Ok(None)
+            }
+        }
     }
 }
 
@@ -866,11 +918,37 @@ mod tests {
         }
     }
 
+    /// A peer that has sent `0` and closed; `1` is how far it was read.
+    struct Replay(Vec<u8>, usize);
+
+    impl Transport for Replay {
+        fn read(&mut self, buf: &mut [u8]) -> std::io::Result<usize> {
+            let n = buf.len().min(self.0.len() - self.1);
+            buf[..n].copy_from_slice(&self.0[self.1..self.1 + n]);
+            self.1 += n;
+            Ok(n)
+        }
+        fn write_all(&mut self, _buf: &[u8]) -> std::io::Result<()> {
+            Ok(())
+        }
+        fn configure(&mut self, _t: Option<std::time::Duration>) -> std::io::Result<()> {
+            Ok(())
+        }
+    }
+
+    /// The one frame in `wire`, and nothing after it.
+    fn read_back(wire: &[u8]) -> Result<Message, ProtoError> {
+        let mut t = Replay(wire.to_vec(), 0);
+        let mut reader = FrameReader::new(MAX_FRAME_BYTES);
+        let msg = reader.poll_frame(&mut t)?.expect("no timeouts in memory");
+        assert_eq!(reader.poll_frame(&mut t), Err(ProtoError::Closed));
+        Ok(msg)
+    }
+
     fn roundtrip(msg: &Message) -> Message {
-        let mut line = String::new();
-        write_message(msg, &mut line);
-        assert!(line.ends_with('\n'));
-        parse_message(line.trim_end()).expect("wire roundtrip")
+        let mut wire = String::new();
+        write_message(msg, &mut wire);
+        read_back(wire.as_bytes()).expect("wire roundtrip")
     }
 
     #[test]
@@ -889,20 +967,11 @@ mod tests {
                 merge: MergeMode::Decentralized,
                 frame: FrameKind::Binary,
                 assignments: vec![(0, 12), (1, 0), (2, 999)],
-                checkpoint: "schedinspector-checkpoint v1\nline \"two\"\n".into(),
+                checkpoint: "schedinspector-checkpoint v1\nline \"two\" \\ µ\n".into(),
             },
             Message::Episode {
                 epoch: 2,
                 summary: summary(5),
-            },
-            Message::EpisodeBin {
-                epoch: 2,
-                index: 6,
-                base_metric: 1.5,
-                inspected_metric: 0.75,
-                inspections: 9,
-                rejections: 0,
-                bytes: 42,
             },
             Message::ShardDone {
                 epoch: 2,
@@ -934,6 +1003,12 @@ mod tests {
         ];
         for msg in &msgs {
             assert_eq!(&roundtrip(msg), msg);
+        }
+        // An episode reads back the same from either encoding.
+        for frame in [FrameKind::Json, FrameKind::Binary] {
+            let mut wire = Vec::new();
+            write_episode(2, &summary(5), frame, &mut wire);
+            assert_eq!(read_back(&wire).as_ref(), Ok(&msgs[2]), "{frame:?}");
         }
     }
 
@@ -1029,22 +1104,25 @@ mod tests {
             "{\"verb\":\"episode_bin\",\"epoch\":0,\"index\":0,\"base_metric\":1,\
              \"inspected_metric\":1,\"inspections\":0,\"rejections\":0,\"bytes\":-4}",
             "{\"verb\":\"shard_done\",\"epoch\":0,\"shard\":0,\"episodes\":1,\
-             \"replica\":\"ck\",\"stats\":[1,2,3]}", // short stats
+             \"stats\":[1,2,3],\"bytes\":2}", // short stats
+            "{\"verb\":\"shard_done\",\"epoch\":0,\"shard\":0,\"episodes\":1,\"bytes\":2}", // no stats
         ] {
-            assert!(parse_message(line).is_err(), "{line:?}");
+            assert!(parse_header(line).is_err(), "{line:?}");
         }
     }
 
     #[test]
     fn oversized_bin_header_is_too_long() {
-        let line = format!(
+        let wire = format!(
             "{{\"verb\":\"episode_bin\",\"epoch\":0,\"index\":0,\"base_metric\":1,\
-             \"inspected_metric\":1,\"inspections\":0,\"rejections\":0,\"bytes\":{}}}",
+             \"inspected_metric\":1,\"inspections\":0,\"rejections\":0,\"bytes\":{}}}\n",
             MAX_FRAME_BYTES + 1
         );
-        assert!(matches!(
-            parse_message(&line),
-            Err(ProtoError::TooLong { .. })
-        ));
+        assert_eq!(
+            read_back(wire.as_bytes()),
+            Err(ProtoError::TooLong {
+                limit: MAX_FRAME_BYTES
+            })
+        );
     }
 }

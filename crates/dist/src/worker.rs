@@ -3,11 +3,12 @@
 //! allocation-free rollout path, and streams the results back.
 //!
 //! A worker is **stateless across shards** by construction: every shard
-//! frame carries the checkpoint to roll out under, so a worker that joins
-//! mid-training (or replaces a killed one) produces byte-identical
-//! episodes. Workers run as separate processes (`schedinspector
-//! dist-worker`) or as in-process threads ([`spawn_local_workers`]) —
-//! both speak the same [`Transport`]-level protocol.
+//! frame is followed by the checkpoint to roll out under, so a worker
+//! that joins mid-training (or replaces a killed one) produces
+//! byte-identical episodes. Workers run as separate processes
+//! (`schedinspector dist-worker`) or as in-process threads
+//! ([`spawn_local_workers`]) — both speak the same [`Transport`]-level
+//! protocol.
 
 use std::net::TcpStream;
 use std::thread::{self, JoinHandle};
@@ -96,13 +97,13 @@ pub fn run_worker_on<T: Transport>(
     let mut reader = FrameReader::new(MAX_FRAME_BYTES);
     let mut report = WorkerReport::default();
     loop {
-        let line = match reader.poll_line(&mut conn) {
+        let msg = match reader.poll_frame(&mut conn) {
             Ok(None) => continue,
-            Ok(Some(line)) => line,
+            Ok(Some(msg)) => msg,
             Err(ProtoError::Closed) => return Err(DistError::Disconnected),
             Err(e) => return Err(DistError::Protocol(e)),
         };
-        match protocol::parse_message(&line).map_err(DistError::Protocol)? {
+        match msg {
             Message::Shard {
                 epoch,
                 shard,
@@ -144,7 +145,6 @@ fn frame_name(msg: &Message) -> &'static str {
         Message::Hello { .. } => "hello",
         Message::Shard { .. } => "shard",
         Message::Episode { .. } => "episode",
-        Message::EpisodeBin { .. } => "episode_bin",
         Message::ShardDone { .. } => "shard_done",
         Message::Shutdown => "shutdown",
         Message::Error { .. } => "error",
@@ -174,41 +174,12 @@ fn run_shard<T: Transport>(
     let (summaries, _baseline_nanos) =
         trainer.rollout_assigned(job.seed_base, job.assignments, &policy);
 
-    let mut out = String::new();
+    let mut out = Vec::new();
     for s in &summaries {
         out.clear();
-        match job.frame {
-            FrameKind::Json => {
-                protocol::write_message(
-                    &Message::Episode {
-                        epoch: job.epoch,
-                        summary: s.clone(),
-                    },
-                    &mut out,
-                );
-                conn.write_all(out.as_bytes())
-                    .map_err(|e| DistError::Io(e.to_string()))?;
-            }
-            FrameKind::Binary => {
-                let payload = protocol::encode_trajectory(&s.trajectory);
-                protocol::write_message(
-                    &Message::EpisodeBin {
-                        epoch: job.epoch,
-                        index: s.index,
-                        base_metric: s.base_metric,
-                        inspected_metric: s.inspected_metric,
-                        inspections: s.inspections,
-                        rejections: s.rejections,
-                        bytes: payload.len(),
-                    },
-                    &mut out,
-                );
-                conn.write_all(out.as_bytes())
-                    .map_err(|e| DistError::Io(e.to_string()))?;
-                conn.write_all(&payload)
-                    .map_err(|e| DistError::Io(e.to_string()))?;
-            }
-        }
+        protocol::write_episode(job.epoch, s, job.frame, &mut out);
+        conn.write_all(&out)
+            .map_err(|e| DistError::Io(e.to_string()))?;
     }
 
     let replica = match job.merge {
@@ -229,7 +200,7 @@ fn run_shard<T: Transport>(
         }
     };
     let n = summaries.len() as u64;
-    out.clear();
+    let mut out = String::new();
     protocol::write_message(
         &Message::ShardDone {
             epoch: job.epoch,
