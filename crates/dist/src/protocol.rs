@@ -393,18 +393,17 @@ fn num_field(v: &Json, key: &str) -> Result<f64, ProtoError> {
         .ok_or_else(|| bad(format!("missing numeric field {key:?}")))
 }
 
-fn index_field(v: &Json, key: &str) -> Result<usize, ProtoError> {
+fn count_field(v: &Json, key: &str) -> Result<u64, ProtoError> {
     let n = num_field(v, key)?;
-    if n < 0.0 || n.fract() != 0.0 || n > (1u64 << 53) as f64 {
-        return Err(bad(format!(
+    v.get(key).and_then(Json::as_u64).ok_or_else(|| {
+        bad(format!(
             "field {key:?} must be a non-negative integer, got {n}"
-        )));
-    }
-    Ok(n as usize)
+        ))
+    })
 }
 
-fn count_field(v: &Json, key: &str) -> Result<u64, ProtoError> {
-    Ok(index_field(v, key)? as u64)
+fn index_field(v: &Json, key: &str) -> Result<usize, ProtoError> {
+    Ok(count_field(v, key)? as usize)
 }
 
 fn str_field<'a>(v: &'a Json, key: &str) -> Result<&'a str, ProtoError> {
@@ -463,12 +462,11 @@ fn parse_header(line: &str) -> Result<(Message, Option<usize>), ProtoError> {
                     let n = x
                         .as_f64()
                         .ok_or_else(|| bad("assignment entries must be numbers"))?;
-                    if n < 0.0 || n.fract() != 0.0 {
-                        return Err(bad(format!(
+                    x.as_u64().map(|i| i as usize).ok_or_else(|| {
+                        bad(format!(
                             "assignment entries must be non-negative integers, got {n}"
-                        )));
-                    }
-                    Ok(n as usize)
+                        ))
+                    })
                 };
                 assignments.push((as_idx(&items[0])?, as_idx(&items[1])?));
             }

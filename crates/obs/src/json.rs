@@ -42,6 +42,19 @@ impl Json {
         }
     }
 
+    /// This value as a non-negative integer, if it is a number that names
+    /// exactly one: integral, not negative, and below 2^53 — from there on
+    /// neighbouring integers parse to the same `f64`, so the digits on the
+    /// wire are no longer known.
+    pub fn as_u64(&self) -> Option<u64> {
+        match self {
+            Json::Number(n) if *n >= 0.0 && n.fract() == 0.0 && *n < (1u64 << 53) as f64 => {
+                Some(*n as u64)
+            }
+            _ => None,
+        }
+    }
+
     /// This value as a string slice, if it is one.
     pub fn as_str(&self) -> Option<&str> {
         match self {
@@ -337,6 +350,27 @@ mod tests {
         );
         assert_eq!(v.get("b").and_then(|b| b.get("c")), Some(&Json::Bool(true)));
         assert_eq!(v.get("e").and_then(Json::as_str), Some("x\ny"));
+    }
+
+    #[test]
+    fn as_u64_is_only_an_integer_the_digits_name_exactly() {
+        let int = |text: &str| parse(text).unwrap().as_u64();
+        assert_eq!(int("0"), Some(0));
+        assert_eq!(int("9007199254740991"), Some((1 << 53) - 1));
+        assert_eq!(int("2e3"), Some(2000));
+        // 2^53 and 2^53 + 1 are one f64: neither is known.
+        for text in [
+            "9007199254740992",
+            "9007199254740993",
+            "1e300",
+            "-1",
+            "-0.5",
+            "1.9",
+        ] {
+            assert_eq!(int(text), None, "{text}");
+        }
+        assert_eq!(int("\"7\""), None);
+        assert_eq!(int("null"), None);
     }
 
     #[test]

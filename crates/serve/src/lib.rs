@@ -5,8 +5,8 @@
 //! specified in [`protocol`]). The stack is three layers, each with
 //! explicit backpressure:
 //!
-//! 1. an acceptor thread feeding a **bounded** connection backlog drained
-//!    by a fixed pool of connection-handler threads;
+//! 1. an acceptor thread that gives every admitted connection a thread of
+//!    its own, up to a **bounded** number of live connections;
 //! 2. a single-threaded **micro-batching** inference engine
 //!    ([`engine::BatchEngine`]) that drains up to `max_batch` queued
 //!    requests per tick into scratch-buffer forward passes — batching
@@ -16,9 +16,9 @@
 //!    `stats` protocol verb, plus optional [`obs`] telemetry sidecars.
 //!
 //! Shutdown is graceful: a [`server::ShutdownSignal`] stops the acceptor
-//! (woken through a loopback "wake pipe" connection), workers notice
-//! within one read-timeout tick, and the engine finishes everything
-//! already queued before its thread exits.
+//! (woken through a loopback "wake pipe" connection), connection threads
+//! notice within one read-timeout tick and are joined, and the engine
+//! finishes everything already queued before its thread exits.
 //!
 //! The [`loadgen`] module (and the `loadgen` binary) drives a running
 //! server with open-loop arrivals at a target QPS and reports the

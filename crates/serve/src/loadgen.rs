@@ -191,10 +191,9 @@ pub fn replay_profile(
     trace_sample: u64,
 ) -> Result<(RunReport, FairnessReport), String> {
     profile.validate().map_err(|e| e.to_string())?;
-    // Fetch the model dimension on a dedicated connection BEFORE opening
-    // the load connections: with conns >= workers, long-lived load
-    // connections occupy the whole worker pool and a stats connection
-    // opened afterwards would starve behind them.
+    // The model dimension comes over a connection of its own, opened
+    // before the load connections: their ids then form one contiguous
+    // run, which `balanced_conns` spreads evenly over `shards`.
     let dim = query_input_dim(addr)?;
     let n_tenants = profile.tenants.len().max(1);
     let hist = Arc::new(LogLinearHistogram::new());

@@ -24,7 +24,10 @@
 //!
 //! Responses to one connection are written in the order its requests were
 //! received. Clients should nevertheless correlate by `id`: ids are chosen
-//! by the client and echoed verbatim.
+//! by the client and echoed verbatim. An `id` (or `deadline_ms`) is a
+//! non-negative integer below 2^53, the range a JSON number carries
+//! exactly; a line with any other number there is `malformed`, never
+//! answered under the id a cast would have made of it.
 //!
 //! `trace` is an optional 64-bit trace context, encoded as a 16-hex-digit
 //! string (JSON numbers go through f64 and would lose precision). Absent
@@ -84,10 +87,7 @@ pub fn parse_request(line: &str) -> Result<Request, String> {
         .ok_or("missing string field \"verb\"")?;
     match verb {
         "infer" => {
-            let id = v
-                .get("id")
-                .and_then(Json::as_f64)
-                .ok_or("infer requires a numeric \"id\"")? as u64;
+            let id = uint_field(&v, "id")?.ok_or("infer requires a numeric \"id\"")?;
             let raw = v
                 .get("features")
                 .and_then(Json::as_array)
@@ -96,10 +96,7 @@ pub fn parse_request(line: &str) -> Result<Request, String> {
             for x in raw {
                 features.push(x.as_f64().ok_or("\"features\" must contain only numbers")? as f32);
             }
-            let deadline_ms = match v.get("deadline_ms") {
-                None => None,
-                Some(d) => Some(d.as_f64().ok_or("\"deadline_ms\" must be a number")? as u64),
-            };
+            let deadline_ms = uint_field(&v, "deadline_ms")?;
             let trace = parse_trace_field(&v)?;
             Ok(Request::Infer {
                 id,
@@ -112,6 +109,20 @@ pub fn parse_request(line: &str) -> Result<Request, String> {
         "ping" => Ok(Request::Ping),
         "shutdown" => Ok(Request::Shutdown),
         other => Err(format!("unknown verb {other:?}")),
+    }
+}
+
+/// An integer field of a request or response: absent → `None`; present →
+/// a value the sender's digits name exactly ([`Json::as_u64`]), never one
+/// a cast made up — an `id` is echoed verbatim or not at all.
+fn uint_field(v: &Json, key: &str) -> Result<Option<u64>, String> {
+    let Some(x) = v.get(key) else { return Ok(None) };
+    match (x.as_u64(), x.as_f64()) {
+        (Some(n), _) => Ok(Some(n)),
+        (None, Some(n)) => Err(format!(
+            "\"{key}\" must be a non-negative integer below 2^53, got {n}"
+        )),
+        (None, None) => Err(format!("\"{key}\" must be a number")),
     }
 }
 
@@ -233,16 +244,16 @@ pub fn parse_response(line: &str) -> Result<Response, String> {
         .and_then(Json::as_bool)
         .ok_or("missing bool field \"ok\"")?;
     if !ok {
-        let id = v.get("id").and_then(Json::as_f64).map(|x| x as u64);
+        let id = match v.get("id") {
+            Some(Json::Null) => None,
+            _ => uint_field(&v, "id")?,
+        };
         let code = v
             .get("error")
             .and_then(Json::as_str)
             .ok_or("error response missing \"error\"")?
             .to_string();
-        let retry_after_ms = v
-            .get("retry_after_ms")
-            .and_then(Json::as_f64)
-            .map(|x| x as u64);
+        let retry_after_ms = uint_field(&v, "retry_after_ms")?;
         return Ok(Response::Error {
             id,
             code,
@@ -258,10 +269,7 @@ pub fn parse_response(line: &str) -> Result<Response, String> {
     if let Some(stats) = v.get("stats") {
         return Ok(Response::Stats(stats.clone()));
     }
-    let id = v
-        .get("id")
-        .and_then(Json::as_f64)
-        .ok_or("decision response missing \"id\"")? as u64;
+    let id = uint_field(&v, "id")?.ok_or("decision response missing \"id\"")?;
     let reject = match v.get("decision").and_then(Json::as_str) {
         Some("reject") => true,
         Some("accept") => false,
@@ -343,6 +351,42 @@ mod tests {
             parse_request(r#"{"verb":"infer","id":1,"features":[1],"trace":"0000000000000000"}"#)
                 .is_err(),
             "trace id 0 is reserved"
+        );
+    }
+
+    #[test]
+    fn an_integer_field_is_checked_not_cast() {
+        // Each of these was answered under another id (0, 1, 2^64 - 1,
+        // 2^53) or, for the deadline, as 0 ms.
+        for (field, value) in [
+            ("id", "-5"),
+            ("id", "1.9"),
+            ("id", "1e300"),
+            ("id", "9007199254740993"),
+            ("deadline_ms", "-1"),
+        ] {
+            let id = if field == "id" { value } else { "1" };
+            let deadline = if field == "id" { "250" } else { value };
+            let line =
+                format!(r#"{{"verb":"infer","id":{id},"features":[1],"deadline_ms":{deadline}}}"#);
+            let detail = parse_request(&line).expect_err(&line);
+            assert!(detail.contains(&format!("{field:?}")), "{line}: {detail}");
+            let got = value.parse::<f64>().unwrap().to_string();
+            assert!(detail.contains(&got), "{line}: {detail}");
+        }
+        // The largest id a JSON number carries exactly is still echoed.
+        let max = (1u64 << 53) - 1;
+        match parse_request(&format!(r#"{{"verb":"infer","id":{max},"features":[1]}}"#)) {
+            Ok(Request::Infer { id, .. }) => assert_eq!(id, max),
+            other => panic!("unexpected {other:?}"),
+        }
+        // The same rule reads replies: an id a client could not have sent
+        // is not turned into one it did.
+        assert!(
+            parse_response(r#"{"id":-5,"ok":true,"decision":"accept","p_reject":0.5}"#).is_err()
+        );
+        assert!(
+            parse_response(r#"{"id":1.5,"ok":false,"error":"overloaded","detail":""}"#).is_err()
         );
     }
 

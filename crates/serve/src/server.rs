@@ -1,25 +1,26 @@
-//! The TCP front end: acceptor, fixed worker pool, connection handler.
+//! The TCP front end: an acceptor and one thread per admitted connection.
 //!
 //! ```text
-//! acceptor thread ──sync_channel(max_pending_conns)──▶ worker pool (N threads)
-//!                                                        │  parse lines
-//!                                                        ▼
-//!                                           BatchEngine (1 inference thread)
+//! acceptor thread ──spawn (≤ max_conns live)──▶ connection thread (1 per connection)
+//!                                                 │  split lines, parse, validate
+//!                                                 ▼
+//!                                    BatchEngine shard (conn id % shards)
 //! ```
 //!
-//! Backpressure is explicit at both layers: the acceptor's bounded
-//! connection channel answers `overloaded` and closes when the pool is
-//! saturated, and the engine's bounded request queue answers `overloaded`
-//! with a `retry_after_ms` hint. Graceful shutdown sets a flag and pokes
-//! the listener with a loopback connection so the blocking `accept` wakes;
-//! workers notice the flag within one read-timeout tick, and the engine
-//! drains everything already queued before its thread exits.
+//! Backpressure is explicit at both layers: the acceptor answers
+//! connection `max_conns + 1` with `overloaded` and closes it, and the
+//! engine's bounded request queue answers `overloaded` with a
+//! `retry_after_ms` hint. Every admitted connection has a thread reading
+//! it, so an open connection is never parked unread. Graceful shutdown
+//! sets a flag and pokes the listener with a loopback connection so the
+//! blocking `accept` wakes; connection threads notice the flag within one
+//! read-timeout tick, the acceptor joins them, and the engine drains
+//! everything already queued before its thread exits.
 
-use std::collections::BTreeMap;
 use std::io;
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::mpsc::{self, Receiver, TrySendError};
+use std::sync::mpsc::{self, Receiver, Sender};
 use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;
 use std::time::Duration;
@@ -35,18 +36,16 @@ use crate::stats::ServerStats;
 use crate::transport::{AcceptPolicy, DirectAccept, Transport};
 
 /// Server configuration. The defaults suit tests and local benchmarking;
-/// production deployments mainly tune `workers`, `max_batch` and
+/// production deployments mainly tune `shards`, `max_batch` and
 /// `queue_capacity`.
 #[derive(Debug, Clone)]
 pub struct ServeConfig {
     /// Bind address; port 0 picks an ephemeral port (see
     /// [`ServerHandle::addr`]).
     pub addr: String,
-    /// Connection-handler threads.
-    pub workers: usize,
-    /// Accepted-but-unclaimed connection backlog; beyond it new
-    /// connections get an `overloaded` line and are closed.
-    pub max_pending_conns: usize,
+    /// Connections served at once, each by its own thread; one more gets
+    /// an `overloaded` line with `retry_after_ms` and is closed.
+    pub max_conns: usize,
     /// Micro-batch cap for the inference engine.
     pub max_batch: usize,
     /// Bounded inference queue depth (per engine shard).
@@ -123,8 +122,7 @@ impl Default for ServeConfig {
     fn default() -> Self {
         ServeConfig {
             addr: "127.0.0.1:0".into(),
-            workers: 4,
-            max_pending_conns: 64,
+            max_conns: 64,
             max_batch: 16,
             queue_capacity: 4096,
             shards: 1,
@@ -141,10 +139,32 @@ impl Default for ServeConfig {
     }
 }
 
+/// The trace context of one request from accept to reply. Untraced
+/// requests carry `trace` 0 and never read the clock.
+#[derive(Clone, Copy)]
+struct Traced {
+    /// Trace id (0 = untraced).
+    trace: u64,
+    /// Clock tick at accept, the root request span's start.
+    accept_ns: u64,
+    /// Model generation at accept; a differing generation on the
+    /// completion means the request straddled a hot swap.
+    accept_gen: u64,
+}
+
+/// The engine's side of a traced request the engine answered.
+struct Served {
+    /// Generation of the model that answered.
+    generation: u64,
+    /// Clock tick at which reply assembly began.
+    write_start_ns: u64,
+}
+
 /// Shared server-side tracing state: the flight recorder the engine also
 /// writes into, the tail-sampling threshold, and the promotion sinks.
 struct Tracing {
     recorder: Recorder,
+    clock: Arc<dyn Clock>,
     slow_ns: u64,
     telemetry: Telemetry,
     /// Journal for promoted traces (`trace/<16hex>` keys).
@@ -156,7 +176,7 @@ struct Tracing {
 impl Tracing {
     /// Fails when the configured trace journal cannot be opened: a server
     /// asked to journal must not run silently without one.
-    fn new(cfg: &ServeConfig, telemetry: Telemetry) -> io::Result<Arc<Tracing>> {
+    fn new(cfg: &ServeConfig, telemetry: Telemetry) -> io::Result<Tracing> {
         let (recorder, slow_ns, store, dump_path) = match &cfg.trace {
             Some(tc) => {
                 let store = match &tc.store_dir {
@@ -174,37 +194,31 @@ impl Tracing {
             }
             None => (Recorder::disabled(), u64::MAX, None, None),
         };
-        Ok(Arc::new(Tracing {
+        Ok(Tracing {
             recorder,
+            clock: Arc::clone(&cfg.clock),
             slow_ns,
             telemetry,
             store,
             dump_path,
             finalized: AtomicBool::new(false),
-        }))
+        })
     }
 
-    /// Server-side completion of one traced request: records the root
-    /// request span (and, when the engine never saw the request, its
-    /// terminal `dropped` span; for decisions, the reply `write` span),
-    /// then applies the tail-sampling rules. No-op for untraced requests
-    /// or when tracing is disabled.
-    #[allow(clippy::too_many_arguments)]
-    fn finish(
-        &self,
-        trace: u64,
-        shard: usize,
-        status: SpanStatus,
-        generation: u64,
-        accept_ns: u64,
-        write_start_ns: u64,
-        now_ns: u64,
-        accept_gen: u64,
-        engine_saw_it: bool,
-    ) {
+    /// Server-side completion of one traced request, ending now with
+    /// `status`: records the root request span (for decisions, the reply
+    /// `write` span too), then applies the tail-sampling rules. `served`
+    /// is `None` for a request refused before the engine saw it
+    /// (overloaded / draining / bad dimension), whose terminal `dropped`
+    /// span is recorded here. No-op for untraced requests or when tracing
+    /// is disabled.
+    fn finish(&self, t: Traced, shard: usize, status: SpanStatus, served: Option<Served>) {
+        let trace = t.trace;
         if trace == 0 || !self.recorder.is_enabled() {
             return;
         }
+        let now_ns = self.clock.now_ns();
+        let generation = served.as_ref().map_or(t.accept_gen, |s| s.generation);
         let span = |kind, parent_id, status, start_ns, end_ns| SpanRecord {
             trace_id: trace,
             span_id: span_id(trace, kind),
@@ -217,24 +231,25 @@ impl Tracing {
             start_ns,
             end_ns,
         };
-        if status == SpanStatus::Ok {
+        match served {
             // The write span covers reply assembly; the socket write
             // itself is shared across pipelined replies and not
             // attributable to one request.
-            self.recorder.record(
+            Some(s) if status == SpanStatus::Ok => self.recorder.record(
                 shard,
                 &span(
                     SpanKind::Write,
                     span_id(trace, SpanKind::Forward),
                     SpanStatus::Ok,
-                    write_start_ns,
+                    s.write_start_ns,
                     now_ns,
                 ),
-            );
-        } else if !engine_saw_it {
-            // Refused before the engine (overloaded / draining / bad
-            // dimension): the terminal span hangs off the request root.
-            self.recorder.record(
+            ),
+            // Expired in the queue: the engine recorded the terminal span.
+            Some(_) => {}
+            // Refused before the engine: the terminal span hangs off the
+            // request root.
+            None => self.recorder.record(
                 shard,
                 &span(
                     SpanKind::Dropped,
@@ -243,20 +258,20 @@ impl Tracing {
                     now_ns,
                     now_ns,
                 ),
-            );
+            ),
         }
         self.recorder.record(
             shard,
-            &span(SpanKind::Request, 0, status, accept_ns, now_ns),
+            &span(SpanKind::Request, 0, status, t.accept_ns, now_ns),
         );
 
         // Tail-based sampling: everything above recorded into the ring;
         // only error / swap-coincident / slow traces get promoted out.
         let reason = if status != SpanStatus::Ok {
             Some("error")
-        } else if generation != accept_gen {
+        } else if generation != t.accept_gen {
             Some("swap")
-        } else if now_ns.saturating_sub(accept_ns) > self.slow_ns {
+        } else if now_ns.saturating_sub(t.accept_ns) > self.slow_ns {
             Some("slow")
         } else {
             None
@@ -353,17 +368,68 @@ impl ShutdownSignal {
     }
 }
 
+/// What the acceptor, the model watcher and every connection thread
+/// share, behind one `Arc`.
+struct Server {
+    engine: Arc<BatchEngine>,
+    stats: Arc<ServerStats>,
+    signal: Arc<ShutdownSignal>,
+    cfg: ServeConfig,
+    tracing: Tracing,
+}
+
+impl Server {
+    /// Start the engine for a server listening on `addr`.
+    fn start(
+        inspector: SchedInspector,
+        cfg: ServeConfig,
+        telemetry: Telemetry,
+        addr: SocketAddr,
+    ) -> io::Result<Arc<Server>> {
+        let stats = Arc::new(ServerStats::sharded(
+            inspector.input_dim(),
+            cfg.max_batch,
+            cfg.shards.max(1),
+        ));
+        let tracing = Tracing::new(&cfg, telemetry.clone())?;
+        let engine = BatchEngine::start(
+            inspector,
+            EngineConfig {
+                max_batch: cfg.max_batch,
+                queue_capacity: cfg.queue_capacity,
+                shards: cfg.shards.max(1),
+                model_generation: cfg.initial_model_generation,
+                trace: tracing.recorder.clone(),
+            },
+            Arc::clone(&stats),
+            telemetry,
+            Arc::clone(&cfg.clock),
+        );
+        Ok(Arc::new(Server {
+            engine,
+            stats,
+            signal: Arc::new(ShutdownSignal::new(addr)),
+            cfg,
+            tracing,
+        }))
+    }
+}
+
+/// Join a server thread, counting it in `thread_panics` if it panicked.
+fn join(handle: JoinHandle<()>, stats: &ServerStats) {
+    if handle.join().is_err() {
+        stats.thread_panics.inc();
+    }
+}
+
 /// A running server. Dropping the handle shuts the server down; call
 /// [`ServerHandle::wait`] to instead block until something else (the
 /// `shutdown` verb, [`ShutdownSignal::trigger`]) stops it.
 pub struct ServerHandle {
     addr: SocketAddr,
-    stats: Arc<ServerStats>,
-    signal: Arc<ShutdownSignal>,
-    engine: Arc<BatchEngine>,
-    tracing: Arc<Tracing>,
+    server: Arc<Server>,
+    /// Joins every connection thread before it returns.
     acceptor: Option<JoinHandle<()>>,
-    workers: Vec<JoinHandle<()>>,
     model_watcher: Option<JoinHandle<()>>,
 }
 
@@ -375,32 +441,32 @@ impl ServerHandle {
 
     /// Live server counters (shared with the running threads).
     pub fn stats(&self) -> Arc<ServerStats> {
-        Arc::clone(&self.stats)
+        Arc::clone(&self.server.stats)
     }
 
     /// The metrics registry backing [`ServerHandle::stats`]; share it with
     /// an [`obs::MetricsExporter`] to expose the live counters on
     /// `/metrics`.
     pub fn registry(&self) -> Arc<obs::Registry> {
-        Arc::clone(self.stats.registry())
+        Arc::clone(self.server.stats.registry())
     }
 
     /// A signal that shuts this server down; hand it to e.g. a Ctrl-C
     /// handler.
     pub fn shutdown_signal(&self) -> Arc<ShutdownSignal> {
-        Arc::clone(&self.signal)
+        Arc::clone(&self.server.signal)
     }
 
     /// Generation of the model currently serving decisions.
     pub fn model_generation(&self) -> u64 {
-        self.engine.model_generation()
+        self.server.engine.model_generation()
     }
 
     /// The flight recorder behind this server (a disabled handle when
     /// [`ServeConfig::trace`] is `None`). Tests and the chaos harness use
     /// it to collect span chains without going through promotion.
     pub fn recorder(&self) -> Recorder {
-        self.tracing.recorder.clone()
+        self.server.tracing.recorder.clone()
     }
 
     /// Hot-swap the serving model mid-traffic (same contract as
@@ -410,13 +476,13 @@ impl ServerHandle {
     /// `model_dir` registry watcher; the chaos harness drives it to
     /// assert the swap invariant deterministically.
     pub fn swap_model(&self, generation: u64, model: tinynn::Mlp) -> Result<(), String> {
-        self.engine.swap_model(generation, model)
+        self.server.engine.swap_model(generation, model)
     }
 
     /// Drain and stop: close the listener, finish queued inference, join
     /// every thread.
     pub fn shutdown(mut self) {
-        self.signal.trigger();
+        self.server.signal.trigger();
         self.join_threads();
     }
 
@@ -427,29 +493,18 @@ impl ServerHandle {
     }
 
     fn join_threads(&mut self) {
-        if let Some(acceptor) = self.acceptor.take() {
-            if acceptor.join().is_err() {
-                self.stats.thread_panics.inc();
-            }
+        let threads = [self.acceptor.take(), self.model_watcher.take()];
+        for handle in threads.into_iter().flatten() {
+            join(handle, &self.server.stats);
         }
-        for worker in self.workers.drain(..) {
-            if worker.join().is_err() {
-                self.stats.thread_panics.inc();
-            }
-        }
-        if let Some(watcher) = self.model_watcher.take() {
-            if watcher.join().is_err() {
-                self.stats.thread_panics.inc();
-            }
-        }
-        self.engine.shutdown();
-        self.tracing.finalize(self.stats.registry());
+        self.server.engine.shutdown();
+        self.server.tracing.finalize(self.server.stats.registry());
     }
 }
 
 impl Drop for ServerHandle {
     fn drop(&mut self) {
-        self.signal.trigger();
+        self.server.signal.trigger();
         self.join_threads();
     }
 }
@@ -458,14 +513,13 @@ impl std::fmt::Debug for ServerHandle {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("ServerHandle")
             .field("addr", &self.addr)
-            .field("draining", &self.signal.is_triggered())
+            .field("draining", &self.server.signal.is_triggered())
             .finish()
     }
 }
 
-/// Bind, spawn the engine + acceptor + worker pool, and return
-/// immediately. Production entry point: plain TCP connections, no fault
-/// layer ([`DirectAccept`]).
+/// Bind, spawn the engine + acceptor, and return immediately. Production
+/// entry point: plain TCP connections, no fault layer ([`DirectAccept`]).
 pub fn serve(
     inspector: SchedInspector,
     cfg: ServeConfig,
@@ -482,122 +536,33 @@ pub fn serve_with<A: AcceptPolicy>(
     inspector: SchedInspector,
     cfg: ServeConfig,
     telemetry: Telemetry,
-    mut accept: A,
+    accept: A,
 ) -> io::Result<ServerHandle> {
     let listener = TcpListener::bind(&cfg.addr)?;
     let addr = listener.local_addr()?;
-    let stats = Arc::new(ServerStats::sharded(
-        inspector.input_dim(),
-        cfg.max_batch,
-        cfg.shards.max(1),
-    ));
-    let tracing = Tracing::new(&cfg, telemetry.clone())?;
-    let engine = BatchEngine::start(
-        inspector,
-        EngineConfig {
-            max_batch: cfg.max_batch,
-            queue_capacity: cfg.queue_capacity,
-            shards: cfg.shards.max(1),
-            model_generation: cfg.initial_model_generation,
-            trace: tracing.recorder.clone(),
-        },
-        Arc::clone(&stats),
-        telemetry,
-        Arc::clone(&cfg.clock),
-    );
-    let signal = Arc::new(ShutdownSignal::new(addr));
-    // Connection ids: assigned once at accept, the routing key that pins a
-    // connection to one engine shard for its whole lifetime.
-    let next_conn_id = Arc::new(std::sync::atomic::AtomicU64::new(0));
-
-    let (conn_tx, conn_rx) = mpsc::sync_channel::<A::Conn>(cfg.max_pending_conns.max(1));
-    let conn_rx = Arc::new(Mutex::new(conn_rx));
-
-    let mut workers = Vec::with_capacity(cfg.workers.max(1));
-    for i in 0..cfg.workers.max(1) {
-        let conn_rx = Arc::clone(&conn_rx);
-        let engine = Arc::clone(&engine);
-        let stats = Arc::clone(&stats);
-        let signal = Arc::clone(&signal);
-        let next_conn_id = Arc::clone(&next_conn_id);
-        let tracing = Arc::clone(&tracing);
-        let cfg = cfg.clone();
-        workers.push(
-            std::thread::Builder::new()
-                .name(format!("serve-worker-{i}"))
-                .spawn(move || {
-                    worker_loop(
-                        &conn_rx,
-                        &engine,
-                        &stats,
-                        &signal,
-                        &cfg,
-                        &next_conn_id,
-                        &tracing,
-                    )
-                })
-                .expect("spawn connection worker"),
-        );
-    }
+    let server = Server::start(inspector, cfg, telemetry, addr)?;
 
     let acceptor = {
-        let signal = Arc::clone(&signal);
-        let stats = Arc::clone(&stats);
+        let server = Arc::clone(&server);
         std::thread::Builder::new()
             .name("serve-acceptor".into())
-            .spawn(move || {
-                for conn in listener.incoming() {
-                    if signal.is_triggered() {
-                        break;
-                    }
-                    let Ok(stream) = conn else { continue };
-                    // The policy may drop the connection outright
-                    // (accept-time fault) before it counts for anything.
-                    let Some(conn) = accept.admit(stream) else {
-                        continue;
-                    };
-                    match conn_tx.try_send(conn) {
-                        Ok(()) => {}
-                        Err(TrySendError::Full(mut conn)) => {
-                            stats.accept_overloaded.inc();
-                            let mut line = String::new();
-                            protocol::write_error(
-                                &mut line,
-                                None,
-                                protocol::ERR_OVERLOADED,
-                                "connection backlog full",
-                                Some(50),
-                            );
-                            let _ = conn.write_all(line.as_bytes());
-                        }
-                        Err(TrySendError::Disconnected(_)) => break,
-                    }
-                }
-                // conn_tx drops here; workers drain the backlog then exit.
-            })
+            .spawn(move || accept_loop(listener, accept, &server))
             .expect("spawn acceptor")
     };
 
-    let model_watcher = cfg.model_dir.as_ref().map(|dir| {
+    let model_watcher = server.cfg.model_dir.as_ref().map(|dir| {
         let dir = std::path::PathBuf::from(dir);
-        let engine = Arc::clone(&engine);
-        let stats = Arc::clone(&stats);
-        let signal = Arc::clone(&signal);
-        let poll = Duration::from_millis(cfg.model_poll_ms.max(1));
+        let server = Arc::clone(&server);
         std::thread::Builder::new()
             .name("serve-model-watcher".into())
-            .spawn(move || model_watcher_loop(&dir, &engine, &stats, &signal, poll))
+            .spawn(move || model_watcher_loop(&dir, &server))
             .expect("spawn model watcher")
     });
 
     Ok(ServerHandle {
         addr,
-        stats,
-        signal,
-        engine,
-        tracing,
+        server,
         acceptor: Some(acceptor),
-        workers,
         model_watcher,
     })
 }
@@ -606,15 +571,11 @@ pub fn serve_with<A: AcceptPolicy>(
 /// each new model generation into the engine. A bad checkpoint (corrupt
 /// text, wrong dimensions) or a transient store error is counted and
 /// skipped — serving continues on the previous generation.
-fn model_watcher_loop(
-    dir: &std::path::Path,
-    engine: &BatchEngine,
-    stats: &ServerStats,
-    signal: &ShutdownSignal,
-    poll: Duration,
-) {
+fn model_watcher_loop(dir: &std::path::Path, server: &Server) {
+    let Server { engine, stats, .. } = server;
+    let poll = Duration::from_millis(server.cfg.model_poll_ms.max(1));
     let mut watcher = store::ModelWatcher::starting_after(dir, engine.model_generation());
-    while !signal.is_triggered() {
+    while !server.signal.is_triggered() {
         match watcher.poll() {
             Ok(Some((generation, text))) => match inspector::model_io::from_text(&text) {
                 // A rejected swap (shape/generation) is already counted
@@ -631,27 +592,75 @@ fn model_watcher_loop(
     }
 }
 
-#[allow(clippy::too_many_arguments)]
-fn worker_loop<T: Transport>(
-    conn_rx: &Mutex<Receiver<T>>,
-    engine: &BatchEngine,
-    stats: &ServerStats,
-    signal: &ShutdownSignal,
-    cfg: &ServeConfig,
-    next_conn_id: &std::sync::atomic::AtomicU64,
-    tracing: &Arc<Tracing>,
-) {
-    loop {
-        let conn = { conn_rx.lock().unwrap().recv() };
-        match conn {
-            Ok(stream) => {
+/// Acceptor thread: admit each connection, give it an id and a thread of
+/// its own, refuse it when `max_conns` are already being served; on
+/// shutdown, join every connection thread still running.
+fn accept_loop<A: AcceptPolicy>(listener: TcpListener, mut accept: A, server: &Arc<Server>) {
+    let stats = &*server.stats;
+    let mut conns: Vec<JoinHandle<()>> = Vec::new();
+    // Connection ids, in accept order: the routing key that pins a
+    // connection to one engine shard for its whole lifetime.
+    let mut next_id = 0u64;
+    for stream in listener.incoming() {
+        if server.signal.is_triggered() {
+            break;
+        }
+        let Ok(stream) = stream else { continue };
+        // The policy may drop the connection outright (accept-time fault)
+        // before it counts for anything.
+        let Some(conn) = accept.admit(stream) else {
+            continue;
+        };
+        let (done, live): (Vec<_>, Vec<_>) = conns.into_iter().partition(JoinHandle::is_finished);
+        conns = live;
+        for handle in done {
+            join(handle, stats);
+        }
+        if conns.len() >= server.cfg.max_conns.max(1) {
+            turn_away(conn, stats);
+            continue;
+        }
+        // The thread takes its connection through a channel, so a spawn
+        // that fails leaves the connection here to be answered.
+        let (give, take) = mpsc::channel();
+        let (id, shared) = (next_id, Arc::clone(server));
+        let spawned = std::thread::Builder::new()
+            .name(format!("serve-conn-{id}"))
+            .spawn(move || {
+                if let Ok(stream) = take.recv() {
+                    let _ = Conn::new(&shared, stream, id).run();
+                }
+            });
+        match spawned {
+            Ok(handle) => {
                 stats.connections.inc();
-                let conn_id = next_conn_id.fetch_add(1, Ordering::Relaxed);
-                let _ = handle_connection(stream, conn_id, engine, stats, signal, cfg, tracing);
+                next_id += 1;
+                let _ = give.send(conn);
+                conns.push(handle);
             }
-            Err(_) => break, // acceptor gone and backlog drained
+            Err(_) => turn_away(conn, stats),
         }
     }
+    // Stop listening before waiting for the handlers to see the flag.
+    drop(listener);
+    for handle in conns {
+        join(handle, stats);
+    }
+}
+
+/// Answer a connection the server has no thread for: one typed
+/// `overloaded` line, then close.
+fn turn_away(mut conn: impl Transport, stats: &ServerStats) {
+    stats.accept_overloaded.inc();
+    let mut line = String::new();
+    protocol::write_error(
+        &mut line,
+        None,
+        protocol::ERR_OVERLOADED,
+        "connection limit reached",
+        Some(50),
+    );
+    let _ = conn.write_all(line.as_bytes());
 }
 
 /// One in-order response slot for a processed request line.
@@ -664,333 +673,294 @@ enum Part {
         token: u64,
         /// Client-chosen request id, echoed in the reply.
         id: u64,
-        /// Trace context (0 = untraced).
-        trace: u64,
-        /// Clock tick at accept, the traced request's root span start.
-        accept_ns: u64,
-        /// Model generation at accept; a differing generation on the
-        /// completion means the request straddled a hot swap.
-        accept_gen: u64,
+        traced: Traced,
     },
 }
 
-#[allow(clippy::too_many_arguments)]
-fn handle_connection<T: Transport>(
-    mut stream: T,
-    conn_id: u64,
-    engine: &BatchEngine,
-    stats: &ServerStats,
-    signal: &ShutdownSignal,
-    cfg: &ServeConfig,
-    tracing: &Arc<Tracing>,
-) -> io::Result<()> {
-    stream.configure(Some(Duration::from_millis(cfg.read_timeout_ms.max(1))))?;
-
-    let (done_tx, done_rx) = mpsc::channel::<(u64, Completion)>();
-    let mut next_token = 0u64;
-    let mut acc: Vec<u8> = Vec::with_capacity(4096);
-    let mut chunk = [0u8; 8192];
-    let mut parts: Vec<Part> = Vec::new();
-    let mut stash: BTreeMap<u64, Completion> = BTreeMap::new();
-    let mut out = String::new();
-    let mut close_after_flush = false;
-
-    loop {
-        if signal.is_triggered() {
-            return Ok(());
-        }
-        let n = match stream.read(&mut chunk) {
-            Ok(0) => return Ok(()), // client closed
-            Ok(n) => n,
-            Err(e)
-                if matches!(
-                    e.kind(),
-                    io::ErrorKind::WouldBlock | io::ErrorKind::TimedOut
-                ) =>
-            {
-                continue;
-            }
-            Err(e) => return Err(e),
-        };
-        acc.extend_from_slice(&chunk[..n]);
-
-        // Split off every complete line and process it.
-        let mut start = 0usize;
-        while let Some(nl) = acc[start..].iter().position(|&b| b == b'\n') {
-            let line = String::from_utf8_lossy(&acc[start..start + nl]);
-            process_line(
-                line.trim(),
-                conn_id,
-                engine,
-                stats,
-                signal,
-                cfg,
-                tracing,
-                &done_tx,
-                &mut next_token,
-                &mut parts,
-                &mut close_after_flush,
-            );
-            start += nl + 1;
-        }
-        acc.drain(..start);
-
-        // An unterminated line beyond the cap will never become valid;
-        // answer with a typed error and hang up instead of buffering an
-        // unbounded amount of junk.
-        if acc.len() > cfg.max_line_bytes {
-            stats.malformed.inc();
-            let mut line = String::new();
-            protocol::write_error(
-                &mut line,
-                None,
-                protocol::ERR_MALFORMED,
-                &format!("line exceeds {} bytes", cfg.max_line_bytes),
-                None,
-            );
-            parts.push(Part::Ready(line));
-            close_after_flush = true;
-        }
-
-        // Assemble responses in request order; engine completions for this
-        // connection arrive FIFO, so this never blocks longer than the
-        // engine takes to reach our newest submission.
-        out.clear();
-        for part in parts.drain(..) {
-            match part {
-                Part::Ready(text) => out.push_str(&text),
-                Part::Pending {
-                    token,
-                    id,
-                    trace,
-                    accept_ns,
-                    accept_gen,
-                } => {
-                    let completion = loop {
-                        if let Some(c) = stash.remove(&token) {
-                            break c;
-                        }
-                        match done_rx.recv() {
-                            Ok((t, c)) if t == token => break c,
-                            Ok((t, c)) => {
-                                stash.insert(t, c);
-                            }
-                            Err(_) => break Completion::DeadlineExceeded,
-                        }
-                    };
-                    let write_start_ns = if trace != 0 { cfg.clock.now_ns() } else { 0 };
-                    match completion {
-                        Completion::Decision {
-                            decision,
-                            generation,
-                        } => {
-                            protocol::write_decision(&mut out, id, decision, trace);
-                            if trace != 0 {
-                                tracing.finish(
-                                    trace,
-                                    shard_for(conn_id, engine.shards()),
-                                    SpanStatus::Ok,
-                                    generation,
-                                    accept_ns,
-                                    write_start_ns,
-                                    cfg.clock.now_ns(),
-                                    accept_gen,
-                                    true,
-                                );
-                            }
-                        }
-                        Completion::DeadlineExceeded => {
-                            protocol::write_error(
-                                &mut out,
-                                Some(id),
-                                protocol::ERR_DEADLINE,
-                                "request expired in queue",
-                                None,
-                            );
-                            if trace != 0 {
-                                tracing.finish(
-                                    trace,
-                                    shard_for(conn_id, engine.shards()),
-                                    SpanStatus::DeadlineExceeded,
-                                    engine.model_generation(),
-                                    accept_ns,
-                                    write_start_ns,
-                                    cfg.clock.now_ns(),
-                                    accept_gen,
-                                    true,
-                                );
-                            }
-                        }
-                    }
-                }
-            }
-        }
-        if !out.is_empty() {
-            stream.write_all(out.as_bytes())?;
-        }
-        if close_after_flush {
-            return Ok(());
-        }
-    }
+/// One admitted connection, owned by its thread for as long as it is open.
+struct Conn<'s, T: Transport> {
+    server: &'s Server,
+    stream: T,
+    /// Accept-order id; routes every request of this connection to `shard`.
+    id: u64,
+    shard: usize,
+    /// The engine answers this connection's requests here, in the order
+    /// they were submitted.
+    done_tx: Sender<(u64, Completion)>,
+    done_rx: Receiver<(u64, Completion)>,
+    next_token: u64,
+    /// Replies owed for the lines read so far, in request order.
+    parts: Vec<Part>,
+    close_after_flush: bool,
 }
 
-#[allow(clippy::too_many_arguments)]
-fn process_line(
-    line: &str,
-    conn_id: u64,
-    engine: &BatchEngine,
-    stats: &ServerStats,
-    signal: &ShutdownSignal,
-    cfg: &ServeConfig,
-    tracing: &Tracing,
-    done_tx: &mpsc::Sender<(u64, Completion)>,
-    next_token: &mut u64,
-    parts: &mut Vec<Part>,
-    close_after_flush: &mut bool,
-) {
-    if line.is_empty() {
-        return;
-    }
-    let mut ready = String::new();
-    match protocol::parse_request(line) {
-        Err(msg) => {
-            stats.malformed.inc();
-            protocol::write_error(&mut ready, None, protocol::ERR_MALFORMED, &msg, None);
+impl<'s, T: Transport> Conn<'s, T> {
+    fn new(server: &'s Server, stream: T, id: u64) -> Self {
+        let (done_tx, done_rx) = mpsc::channel();
+        Conn {
+            server,
+            stream,
+            id,
+            shard: shard_for(id, server.engine.shards()),
+            done_tx,
+            done_rx,
+            next_token: 0,
+            parts: Vec::new(),
+            close_after_flush: false,
         }
-        Ok(Request::Ping) => protocol::write_pong(&mut ready),
-        Ok(Request::Stats) => protocol::write_stats(&mut ready, &stats.to_json()),
-        Ok(Request::Shutdown) => {
-            if cfg.allow_shutdown_verb {
-                protocol::write_draining(&mut ready);
-                signal.trigger();
-                *close_after_flush = true;
-            } else {
+    }
+
+    /// Read lines and answer them in order until the peer closes, the
+    /// server drains or a line cannot be framed.
+    fn run(mut self) -> io::Result<()> {
+        let server = self.server;
+        let cfg = &server.cfg;
+        self.stream
+            .configure(Some(Duration::from_millis(cfg.read_timeout_ms.max(1))))?;
+
+        let mut acc: Vec<u8> = Vec::with_capacity(4096);
+        // Bytes at the head of `acc` already searched for a newline, so a
+        // line that arrives in many reads is scanned once, not once a read.
+        let mut scanned = 0usize;
+        let mut chunk = [0u8; 8192];
+        let mut out = String::new();
+
+        loop {
+            if server.signal.is_triggered() {
+                return Ok(());
+            }
+            let n = match self.stream.read(&mut chunk) {
+                Ok(0) => return Ok(()), // client closed
+                Ok(n) => n,
+                Err(e)
+                    if matches!(
+                        e.kind(),
+                        io::ErrorKind::WouldBlock | io::ErrorKind::TimedOut
+                    ) =>
+                {
+                    continue;
+                }
+                Err(e) => return Err(e),
+            };
+            acc.extend_from_slice(&chunk[..n]);
+
+            // Split off every complete line and process it; what stays is
+            // the one partial line, moved to the front once.
+            let mut start = 0usize;
+            while let Some(nl) = acc[scanned..].iter().position(|&b| b == b'\n') {
+                let end = scanned + nl;
+                let line = String::from_utf8_lossy(&acc[start..end]);
+                self.process_line(line.trim());
+                start = end + 1;
+                scanned = start;
+            }
+            acc.drain(..start);
+            scanned = acc.len();
+
+            // An unterminated line beyond the cap will never become valid;
+            // answer with a typed error and hang up instead of buffering an
+            // unbounded amount of junk.
+            if acc.len() > cfg.max_line_bytes {
+                server.stats.malformed.inc();
+                let mut line = String::new();
                 protocol::write_error(
-                    &mut ready,
+                    &mut line,
                     None,
-                    protocol::ERR_BAD_REQUEST,
-                    "shutdown verb disabled",
+                    protocol::ERR_MALFORMED,
+                    &format!("line exceeds {} bytes", cfg.max_line_bytes),
                     None,
                 );
+                self.parts.push(Part::Ready(line));
+                self.close_after_flush = true;
+            }
+
+            // Assemble responses in request order. This thread is the only
+            // producer into its shard's ring and the shard answers in pop
+            // order, so completions arrive in submission order and this
+            // never blocks longer than the engine takes to reach our
+            // newest submission.
+            out.clear();
+            let mut parts = std::mem::take(&mut self.parts);
+            for part in parts.drain(..) {
+                match part {
+                    Part::Ready(text) => out.push_str(&text),
+                    Part::Pending { token, id, traced } => {
+                        let completion = match self.done_rx.recv() {
+                            Ok((answered, completion)) => {
+                                debug_assert_eq!(answered, token, "completion out of order");
+                                completion
+                            }
+                            Err(_) => Completion::DeadlineExceeded,
+                        };
+                        self.complete(&mut out, id, traced, completion);
+                    }
+                }
+            }
+            self.parts = parts; // emptied; keeps its capacity
+            if !out.is_empty() {
+                self.stream.write_all(out.as_bytes())?;
+            }
+            if self.close_after_flush {
+                return Ok(());
             }
         }
-        Ok(Request::Infer {
-            id,
-            features,
-            deadline_ms,
-            trace,
-        }) => {
-            stats.requests.inc();
-            // Traced requests stamp their root span's start here and note
-            // the serving generation, so a completion served by a newer
-            // generation is recognisably swap-coincident.
-            let accept_ns = if trace != 0 { cfg.clock.now_ns() } else { 0 };
-            let accept_gen = if trace != 0 {
-                engine.model_generation()
-            } else {
-                0
-            };
-            let shard = shard_for(conn_id, engine.shards());
-            if features.len() != engine.input_dim() {
-                stats.malformed.inc();
-                stats.bad_dim.inc();
-                let msg = format!(
-                    "expected {} features, got {}",
-                    engine.input_dim(),
-                    features.len()
+    }
+
+    /// Append the reply to a request the engine has answered, and close
+    /// its trace.
+    fn complete(&self, out: &mut String, id: u64, traced: Traced, completion: Completion) {
+        let Server {
+            engine,
+            cfg,
+            tracing,
+            ..
+        } = self.server;
+        let write_start_ns = if traced.trace != 0 {
+            cfg.clock.now_ns()
+        } else {
+            0
+        };
+        let (status, generation) = match completion {
+            Completion::Decision {
+                decision,
+                generation,
+            } => {
+                protocol::write_decision(out, id, decision, traced.trace);
+                (SpanStatus::Ok, generation)
+            }
+            Completion::DeadlineExceeded => {
+                protocol::write_error(
+                    out,
+                    Some(id),
+                    protocol::ERR_DEADLINE,
+                    "request expired in queue",
+                    None,
                 );
-                protocol::write_error(&mut ready, Some(id), protocol::ERR_BAD_REQUEST, &msg, None);
-                if trace != 0 {
-                    let now = cfg.clock.now_ns();
-                    tracing.finish(
-                        trace,
-                        shard,
-                        SpanStatus::BadDim,
-                        accept_gen,
-                        accept_ns,
-                        now,
-                        now,
-                        accept_gen,
-                        false,
+                (SpanStatus::DeadlineExceeded, engine.model_generation())
+            }
+        };
+        let served = Served {
+            generation,
+            write_start_ns,
+        };
+        tracing.finish(traced, self.shard, status, Some(served));
+    }
+
+    /// Queue the reply to one request line (blank lines have none).
+    fn process_line(&mut self, line: &str) {
+        if line.is_empty() {
+            return;
+        }
+        let Server {
+            stats, signal, cfg, ..
+        } = self.server;
+        let mut ready = String::new();
+        match protocol::parse_request(line) {
+            Err(msg) => {
+                stats.malformed.inc();
+                protocol::write_error(&mut ready, None, protocol::ERR_MALFORMED, &msg, None);
+            }
+            Ok(Request::Ping) => protocol::write_pong(&mut ready),
+            Ok(Request::Stats) => protocol::write_stats(&mut ready, &stats.to_json()),
+            Ok(Request::Shutdown) => {
+                if cfg.allow_shutdown_verb {
+                    protocol::write_draining(&mut ready);
+                    signal.trigger();
+                    self.close_after_flush = true;
+                } else {
+                    protocol::write_error(
+                        &mut ready,
+                        None,
+                        protocol::ERR_BAD_REQUEST,
+                        "shutdown verb disabled",
+                        None,
                     );
                 }
-            } else {
-                let deadline_ns = deadline_ms
-                    .or(cfg.default_deadline_ms)
-                    .map(|ms| deadline_after_ms(cfg.clock.now_ns(), ms));
-                let token = *next_token;
-                *next_token += 1;
-                match engine.submit(
-                    conn_id,
-                    token,
-                    features,
-                    deadline_ns,
-                    trace,
-                    done_tx.clone(),
-                ) {
-                    Ok(()) => {
-                        parts.push(Part::Pending {
-                            token,
-                            id,
-                            trace,
-                            accept_ns,
-                            accept_gen,
-                        });
-                        return;
-                    }
-                    Err(SubmitError::Overloaded { retry_after_ms }) => {
-                        stats.overloaded.inc();
-                        protocol::write_error(
-                            &mut ready,
-                            Some(id),
-                            protocol::ERR_OVERLOADED,
-                            "inference queue full",
-                            Some(retry_after_ms),
-                        );
-                        if trace != 0 {
-                            let now = cfg.clock.now_ns();
-                            tracing.finish(
-                                trace,
-                                shard,
-                                SpanStatus::Overloaded,
-                                accept_gen,
-                                accept_ns,
-                                now,
-                                now,
-                                accept_gen,
-                                false,
-                            );
-                        }
-                    }
-                    Err(SubmitError::ShuttingDown) => {
-                        stats.draining_rejected.inc();
-                        protocol::write_error(
-                            &mut ready,
-                            Some(id),
-                            protocol::ERR_SHUTTING_DOWN,
-                            "server is draining",
-                            None,
-                        );
-                        if trace != 0 {
-                            let now = cfg.clock.now_ns();
-                            tracing.finish(
-                                trace,
-                                shard,
-                                SpanStatus::Draining,
-                                accept_gen,
-                                accept_ns,
-                                now,
-                                now,
-                                accept_gen,
-                                false,
-                            );
-                        }
-                    }
-                }
+            }
+            Ok(Request::Infer {
+                id,
+                features,
+                deadline_ms,
+                trace,
+            }) => {
+                let part = self.infer(id, features, deadline_ms, trace);
+                self.parts.push(part);
+                return;
+            }
+        }
+        self.parts.push(Part::Ready(ready));
+    }
+
+    /// Hand one `infer` request to the engine, or answer it here when the
+    /// engine cannot take it.
+    fn infer(&mut self, id: u64, features: Vec<f32>, deadline_ms: Option<u64>, trace: u64) -> Part {
+        let Server {
+            engine,
+            stats,
+            cfg,
+            tracing,
+            ..
+        } = self.server;
+        stats.requests.inc();
+        // Traced requests stamp their root span's start here and note the
+        // serving generation, so a completion served by a newer generation
+        // is recognisably swap-coincident.
+        let accept_ns = if trace != 0 { cfg.clock.now_ns() } else { 0 };
+        let accept_gen = if trace != 0 {
+            engine.model_generation()
+        } else {
+            0
+        };
+        let traced = Traced {
+            trace,
+            accept_ns,
+            accept_gen,
+        };
+        let shard = self.shard;
+        let refuse = |status, code, detail: &str, retry_after_ms| {
+            let mut line = String::new();
+            protocol::write_error(&mut line, Some(id), code, detail, retry_after_ms);
+            tracing.finish(traced, shard, status, None);
+            Part::Ready(line)
+        };
+        if features.len() != engine.input_dim() {
+            stats.malformed.inc();
+            stats.bad_dim.inc();
+            let msg = format!(
+                "expected {} features, got {}",
+                engine.input_dim(),
+                features.len()
+            );
+            return refuse(SpanStatus::BadDim, protocol::ERR_BAD_REQUEST, &msg, None);
+        }
+        let deadline_ns = deadline_ms
+            .or(cfg.default_deadline_ms)
+            .map(|ms| deadline_after_ms(cfg.clock.now_ns(), ms));
+        let token = self.next_token;
+        self.next_token += 1;
+        let done = self.done_tx.clone();
+        match engine.submit(self.id, token, features, deadline_ns, trace, done) {
+            Ok(()) => Part::Pending { token, id, traced },
+            Err(SubmitError::Overloaded { retry_after_ms }) => {
+                stats.overloaded.inc();
+                refuse(
+                    SpanStatus::Overloaded,
+                    protocol::ERR_OVERLOADED,
+                    "inference queue full",
+                    Some(retry_after_ms),
+                )
+            }
+            Err(SubmitError::ShuttingDown) => {
+                stats.draining_rejected.inc();
+                refuse(
+                    SpanStatus::Draining,
+                    protocol::ERR_SHUTTING_DOWN,
+                    "server is draining",
+                    None,
+                )
             }
         }
     }
-    parts.push(Part::Ready(ready));
 }
 
 #[cfg(test)]
@@ -1015,10 +985,7 @@ mod tests {
         let inspector = tiny_inspector();
         let handle = serve(
             inspector.clone(),
-            ServeConfig {
-                workers: 2,
-                ..ServeConfig::default()
-            },
+            ServeConfig::default(),
             Telemetry::disabled(),
         )
         .expect("bind ephemeral port");
@@ -1203,7 +1170,6 @@ mod tests {
         let handle = serve(
             inspector,
             ServeConfig {
-                workers: 1,
                 max_line_bytes: 4096,
                 ..ServeConfig::default()
             },
@@ -1273,7 +1239,6 @@ mod tests {
         let handle = serve(
             inspector,
             ServeConfig {
-                workers: 1,
                 default_deadline_ms: Some(10),
                 clock,
                 ..ServeConfig::default()
@@ -1327,7 +1292,6 @@ mod tests {
         let handle = serve(
             tiny_inspector(),
             ServeConfig {
-                workers: 1,
                 model_dir: Some(dir.display().to_string()),
                 model_poll_ms: 2,
                 ..ServeConfig::default()
@@ -1432,7 +1396,6 @@ mod tests {
         let err = serve(
             tiny_inspector(),
             ServeConfig {
-                workers: 1,
                 trace: Some(TraceConfig {
                     store_dir: Some(file.display().to_string()),
                     ..TraceConfig::default()
@@ -1463,7 +1426,6 @@ mod tests {
         let handle = serve(
             inspector,
             ServeConfig {
-                workers: 1,
                 trace: Some(TraceConfig {
                     ring_capacity: 256,
                     slow_us: 0, // promote everything: every trace is "slow"
@@ -1572,7 +1534,6 @@ mod tests {
             inspector,
             ServeConfig {
                 allow_shutdown_verb: false,
-                workers: 1,
                 ..ServeConfig::default()
             },
             Telemetry::disabled(),
@@ -1589,5 +1550,226 @@ mod tests {
             Response::Pong
         );
         handle.shutdown();
+    }
+
+    fn infer_line(id: u64, dim: usize) -> String {
+        let payload = vec!["0.5"; dim].join(",");
+        format!(r#"{{"verb":"infer","id":{id},"features":[{payload}]}}"#)
+    }
+
+    #[test]
+    fn every_open_connection_is_served() {
+        // Default configuration, more connections than the worker pool
+        // ever had threads, all held open: each one is read and answered.
+        let (handle, inspector) = start();
+        let dim = inspector.input_dim();
+        let mut conns: Vec<_> = (0..12).map(|_| connect(&handle)).collect();
+        for (stream, _) in &conns {
+            stream
+                .set_read_timeout(Some(Duration::from_secs(1)))
+                .unwrap();
+        }
+        for (i, (stream, reader)) in conns.iter_mut().enumerate() {
+            assert_eq!(
+                roundtrip(stream, reader, r#"{"verb":"ping"}"#),
+                Response::Pong,
+                "connection {i}"
+            );
+            match roundtrip(stream, reader, &infer_line(i as u64, dim)) {
+                Response::Decision { id, .. } => assert_eq!(id, i as u64),
+                other => panic!("connection {i}: unexpected {other:?}"),
+            }
+        }
+        assert_eq!(handle.stats().connections.get(), 12);
+        handle.shutdown();
+    }
+
+    #[test]
+    fn connection_past_the_limit_is_refused_with_a_retry_hint_until_one_closes() {
+        let handle = serve(
+            tiny_inspector(),
+            ServeConfig {
+                max_conns: 2,
+                ..ServeConfig::default()
+            },
+            Telemetry::disabled(),
+        )
+        .unwrap();
+        let mut held: Vec<_> = (0..2).map(|_| connect(&handle)).collect();
+        for (stream, reader) in held.iter_mut() {
+            // A reply proves the acceptor has given this one its thread.
+            assert_eq!(
+                roundtrip(stream, reader, r#"{"verb":"ping"}"#),
+                Response::Pong
+            );
+        }
+
+        let (_third, mut reader) = connect(&handle);
+        let mut line = String::new();
+        reader.read_line(&mut line).unwrap();
+        assert!(
+            line.starts_with(r#"{"id":null,"ok":false,"error":"overloaded","#),
+            "{line}"
+        );
+        match parse_response(line.trim()).unwrap() {
+            Response::Error {
+                id, retry_after_ms, ..
+            } => {
+                assert_eq!(id, None);
+                assert!(retry_after_ms.is_some(), "{line}");
+            }
+            other => panic!("unexpected {other:?}"),
+        }
+        let mut rest = String::new();
+        assert_eq!(reader.read_line(&mut rest).unwrap(), 0, "then EOF: {rest}");
+        assert_eq!(handle.stats().accept_overloaded.get(), 1);
+
+        // One of the two leaves; once its thread has seen the close, the
+        // next connection takes its place.
+        drop(held.pop());
+        let deadline = std::time::Instant::now() + Duration::from_secs(10);
+        loop {
+            let (mut stream, mut reader) = connect(&handle);
+            Write::write_all(&mut stream, b"{\"verb\":\"ping\"}\n").unwrap();
+            let mut reply = String::new();
+            reader.read_line(&mut reply).unwrap();
+            match parse_response(reply.trim()).unwrap() {
+                Response::Pong => break,
+                Response::Error { code, .. } => assert_eq!(code, protocol::ERR_OVERLOADED),
+                other => panic!("unexpected {other:?}"),
+            }
+            assert!(std::time::Instant::now() < deadline, "never admitted");
+            std::thread::yield_now();
+        }
+        handle.shutdown();
+    }
+
+    #[test]
+    fn shutdown_joins_idle_open_connections_within_a_few_read_timeouts() {
+        let (handle, _inspector) = start();
+        let mut idle: Vec<_> = (0..8).map(|_| connect(&handle)).collect();
+        for (stream, reader) in idle.iter_mut() {
+            assert_eq!(
+                roundtrip(stream, reader, r#"{"verb":"ping"}"#),
+                Response::Pong
+            );
+        }
+        let stats = handle.stats();
+        let tick = Duration::from_millis(ServeConfig::default().read_timeout_ms);
+        let started = std::time::Instant::now();
+        handle.shutdown();
+        let took = started.elapsed();
+        // Every thread polls the flag on its own tick, concurrently: the
+        // wait is one tick plus scheduling on a busy machine, and a thread
+        // that missed the flag would never come back at all.
+        assert!(took < 20 * tick, "shutdown took {took:?}");
+        assert_eq!(stats.connections.get(), 8);
+        assert_eq!(stats.thread_panics.get(), 0);
+        for (_, reader) in idle.iter_mut() {
+            let mut rest = String::new();
+            assert_eq!(reader.read_line(&mut rest).unwrap_or(0), 0);
+        }
+    }
+
+    #[test]
+    fn an_id_that_is_not_an_exact_integer_is_malformed_not_echoed_as_another() {
+        let (handle, inspector) = start();
+        let (mut stream, mut reader) = connect(&handle);
+        let good = infer_line(7, inspector.input_dim());
+        for bad in ["-5", "1.9", "1e300", "9007199254740993"] {
+            let line = good.replace(r#""id":7"#, &format!(r#""id":{bad}"#));
+            match roundtrip(&mut stream, &mut reader, &line) {
+                Response::Error { id, code, .. } => {
+                    assert_eq!(id, None, "{bad}");
+                    assert_eq!(code, protocol::ERR_MALFORMED, "{bad}");
+                }
+                other => panic!("{bad}: unexpected {other:?}"),
+            }
+        }
+        match roundtrip(&mut stream, &mut reader, &good) {
+            Response::Decision { id, .. } => assert_eq!(id, 7),
+            other => panic!("unexpected {other:?}"),
+        }
+        assert_eq!(handle.stats().malformed.get(), 4);
+        handle.shutdown();
+    }
+
+    /// A connection held in memory: the server reads `input` one byte per
+    /// `read`, then end of stream, and its replies collect in `output`.
+    struct Dribble {
+        input: std::vec::IntoIter<u8>,
+        output: Arc<Mutex<Vec<u8>>>,
+    }
+
+    impl Transport for Dribble {
+        fn read(&mut self, buf: &mut [u8]) -> io::Result<usize> {
+            Ok(self.input.next().map_or(0, |byte| {
+                buf[0] = byte;
+                1
+            }))
+        }
+
+        fn write_all(&mut self, buf: &[u8]) -> io::Result<()> {
+            self.output.lock().unwrap().extend_from_slice(buf);
+            Ok(())
+        }
+
+        fn configure(&mut self, _read_timeout: Option<Duration>) -> io::Result<()> {
+            Ok(())
+        }
+    }
+
+    #[test]
+    fn a_line_dribbled_in_single_bytes_costs_its_length_not_its_square() {
+        // 256 KiB arriving a byte at a time. A splitter that rescans the
+        // unterminated head after every read makes 2^35 byte compares for
+        // each half of this test: the pool-era handler took 8.8 s per half
+        // at 64 KiB in a debug build and four times that per doubling.
+        // Scanning each byte once takes about 70 ms per half.
+        const LINE: usize = 256 << 10;
+        let inspector = tiny_inspector();
+        let dim = inspector.input_dim();
+        let cfg = ServeConfig {
+            max_line_bytes: LINE,
+            ..ServeConfig::default()
+        };
+        let addr = "127.0.0.1:0".parse().unwrap();
+        let server = Server::start(inspector, cfg, Telemetry::disabled(), addr).unwrap();
+        let replies = |input: Vec<u8>| {
+            let output = Arc::new(Mutex::new(Vec::new()));
+            let conn = Dribble {
+                input: input.into_iter(),
+                output: Arc::clone(&output),
+            };
+            let started = std::time::Instant::now();
+            Conn::new(&server, conn, 0).run().unwrap();
+            let took = started.elapsed();
+            assert!(took < Duration::from_secs(10), "took {took:?}");
+            let bytes = std::mem::take(&mut *output.lock().unwrap());
+            String::from_utf8(bytes).unwrap()
+        };
+
+        // A valid request padded with blanks to the longest line allowed.
+        let mut valid = infer_line(3, dim).into_bytes();
+        valid.resize(LINE, b' ');
+        valid.push(b'\n');
+        let reply = replies(valid);
+        match parse_response(reply.trim()).unwrap() {
+            Response::Decision { id, .. } => assert_eq!(id, 3),
+            other => panic!("unexpected {other:?}"),
+        }
+
+        // Past the limit with no newline: the typed refusal, then close
+        // (the byte after it is never read).
+        let reply = replies(vec![b'x'; LINE + 2]);
+        match parse_response(reply.trim()).unwrap() {
+            Response::Error { id, code, .. } => {
+                assert_eq!(id, None);
+                assert_eq!(code, protocol::ERR_MALFORMED);
+            }
+            other => panic!("unexpected {other:?}"),
+        }
+        assert_eq!(reply.lines().count(), 1);
+        assert_eq!(server.stats.malformed.get(), 1);
     }
 }

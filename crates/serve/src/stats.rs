@@ -127,8 +127,8 @@ pub struct ServerStats {
     /// `draining_rejected` this partitions `requests` exactly once the
     /// server has drained — the ledger the chaos harness reconciles.
     pub overloaded: Counter,
-    /// Connections refused at accept time because the worker-pool backlog
-    /// was full (these never became requests).
+    /// Connections refused at accept time because `max_conns` were already
+    /// being served (these never became requests).
     pub accept_overloaded: Counter,
     /// Requests that missed their deadline while queued.
     pub deadline_exceeded: Counter,
@@ -201,7 +201,7 @@ impl ServerStats {
             overloaded: r.counter("serve.overloaded", "requests rejected with backpressure"),
             accept_overloaded: r.counter(
                 "serve.accept_overloaded",
-                "connections refused at accept time (backlog full)",
+                "connections refused at accept time (connection limit reached)",
             ),
             deadline_exceeded: r.counter(
                 "serve.deadline_exceeded",

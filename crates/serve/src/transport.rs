@@ -13,7 +13,7 @@ use std::net::TcpStream;
 use std::time::Duration;
 
 /// The byte-stream operations a connection handler performs. Implementors
-/// must be `Send` (connections cross the acceptor→worker channel).
+/// must be `Send` (the acceptor hands each connection to its own thread).
 pub trait Transport: Send + 'static {
     /// Read up to `buf.len()` bytes. Returning `Ok(0)` means the peer
     /// closed; `WouldBlock`/`TimedOut` mean the configured read timeout
@@ -43,11 +43,11 @@ impl Transport for TcpStream {
     }
 }
 
-/// Decides what happens to each accepted connection before it reaches the
-/// worker pool: pass it through (production), wrap it in a fault shim
+/// Decides what happens to each accepted connection before it gets its
+/// thread: pass it through (production), wrap it in a fault shim
 /// (chaos tests), or drop it on the floor (accept-time faults).
 pub trait AcceptPolicy: Send + 'static {
-    /// The connection type workers receive.
+    /// The connection type connection threads serve.
     type Conn: Transport;
 
     /// Admit (possibly wrapping) or drop (`None`) a freshly accepted

@@ -32,7 +32,6 @@ fn wire_decisions_match_in_process_calls_bit_exactly() {
     let handle = serve(
         agent.clone(),
         ServeConfig {
-            workers: 2,
             max_batch: 8,
             ..ServeConfig::default()
         },
@@ -105,7 +104,6 @@ fn parity_survives_model_save_load_and_pipelining() {
     let handle = serve(
         loaded,
         ServeConfig {
-            workers: 2,
             max_batch: 16,
             ..ServeConfig::default()
         },

@@ -38,7 +38,6 @@ fn shard_sums_reconcile_with_global_ledger_over_tcp() {
     let handle = serve(
         agent,
         ServeConfig {
-            workers: 4,
             shards: 4,
             max_batch: 8,
             ..ServeConfig::default()

@@ -57,7 +57,6 @@ fn main() {
     let base = ChaosConfig::new(fault_seed, workload_seed);
     cfg.fault = base.fault;
     cfg.workload_seed = base.workload_seed;
-    cfg.workers = cfg.clients.max(1);
 
     let mut failed = false;
 

@@ -62,9 +62,6 @@ pub struct ChaosConfig {
     pub conns_per_client: usize,
     /// Request lines pipelined per connection.
     pub requests_per_conn: usize,
-    /// Server worker threads (keep ≥ `clients` so open connections cannot
-    /// starve each other).
-    pub workers: usize,
     /// Engine shards (consistent per-connection routing). The default soak
     /// uses 2 so every run exercises the sharded handoff path and the
     /// per-shard ledger reconciliation below.
@@ -97,7 +94,6 @@ impl ChaosConfig {
             clients: 4,
             conns_per_client: 8,
             requests_per_conn: 6,
-            workers: 4,
             shards: 2,
             watchdog_secs: 60,
             swaps: 0,
@@ -117,7 +113,7 @@ pub struct ClientTally {
     pub deadline: u64,
     /// `overloaded` errors with an id (queue-full rejections).
     pub overloaded: u64,
-    /// `overloaded` errors without an id (accept-time backlog rejections).
+    /// `overloaded` errors without an id (accept-time connection-limit rejections).
     pub accept_overloaded: u64,
     /// `bad_request` errors received (wrong-dimension infers).
     pub bad_request: u64,
@@ -247,7 +243,6 @@ pub fn run_chaos(cfg: &ChaosConfig) -> ChaosReport {
     let handle = serve_with(
         inspector,
         ServeConfig {
-            workers: cfg.workers.max(1),
             shards: cfg.shards.max(1),
             // Shutdown is driven by the harness, not by a (possibly
             // corrupted) wire verb.
@@ -734,7 +729,7 @@ fn run_connection(
             }
             return;
         };
-        // An accept-time backlog rejection arrives before any request is
+        // An accept-time rejection arrives before any request is
         // answered and the connection is closed after it.
         if pos == 0 {
             if let Response::Error {
@@ -838,7 +833,6 @@ mod tests {
             clients: 2,
             conns_per_client: 3,
             requests_per_conn: 5,
-            workers: 2,
             shards: 1,
             watchdog_secs: 60,
             swaps: 0,
@@ -936,7 +930,6 @@ mod tests {
             clients: 4,
             conns_per_client: 6,
             requests_per_conn: 8,
-            workers: 4,
             shards: 4,
             watchdog_secs: 60,
             swaps: 0,

@@ -12,7 +12,6 @@ fn soak_under_standard_fault_mix() {
             clients: 3,
             conns_per_client: 4,
             requests_per_conn: 5,
-            workers: 3,
             ..ChaosConfig::new(fault_seed, workload_seed)
         };
         let report = run_chaos(&cfg);
@@ -35,7 +34,6 @@ fn soak_under_aggressive_resets() {
         clients: 3,
         conns_per_client: 4,
         requests_per_conn: 5,
-        workers: 3,
         shards: 2,
         watchdog_secs: 60,
         swaps: 0,
@@ -64,7 +62,6 @@ fn same_seed_pair_reproduces_the_same_fault_plan() {
         clients: 1,
         conns_per_client: 6,
         requests_per_conn: 4,
-        workers: 1,
         ..base
     };
     let a = run_chaos(&cfg);

@@ -18,7 +18,6 @@ pub const SERVE: Command = Command {
         "model FILE   the model to serve (with --model-dir: while the store has none)",
         "model-dir DIR   serve the store's latest model, hot-swap each new generation",
         "addr HOST:PORT   (default 127.0.0.1:7171; port 0 = ephemeral, printed)",
-        "workers N   connection workers (default 4)",
         "batch N   micro-batch ceiling (default 16)",
         "shards N   per-core engine shards (default 1)",
         "queue N   request ring capacity (default 4096)",
@@ -62,7 +61,6 @@ fn serve(args: &Args) -> Result<(), Error> {
     let addr = args.get("addr").unwrap_or("127.0.0.1:7171");
     let cfg = ::serve::ServeConfig {
         addr: addr.to_string(),
-        workers: args.num("workers", 4usize)?,
         max_batch: args.num("batch", 16usize)?,
         shards: args.num("shards", 1usize)?,
         queue_capacity: args.num("queue", 4096usize)?,

@@ -276,6 +276,12 @@ const CONTRACT: &[(&str, i32, &[&str])] = &[
         2,
         &["serve", "--shard"],
     ),
+    // A removed flag is an unknown flag, not one quietly accepted.
+    (
+        "serve --model model.txt --workers 4",
+        2,
+        &["serve", "--workers"],
+    ),
     (
         "train --jobs 1200 --epochs 1 --batch 4 --len 16 --out no-such-dir/model.txt",
         1,

@@ -144,7 +144,6 @@ fn serve_metrics_endpoint_reads_the_same_atomics_as_the_stats_verb() {
     let handle = serve(
         agent,
         ServeConfig {
-            workers: 2,
             max_batch: 8,
             ..ServeConfig::default()
         },
